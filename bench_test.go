@@ -820,6 +820,37 @@ func BenchmarkRunAppStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayRows replays one in-memory indexed v2 file holding every
+// execution of the six apps under the default four policies, all in one
+// shared pass over the decoded stream (DESIGN.md §18). events/s counts
+// simulated work — events × policies — so it stays comparable with a
+// replay that decodes the file once per policy.
+func BenchmarkReplayRows(b *testing.B) {
+	s := experiments.NewDefaultSuite()
+	var all []*trace.Trace
+	events := 0
+	for _, app := range s.Apps() {
+		for _, tr := range s.Traces(app) {
+			all = append(all, tr)
+			events += len(tr.Events)
+		}
+	}
+	var file bytes.Buffer
+	if err := trace.WriteColumnarIndexed(&file, all...); err != nil {
+		b.Fatal(err)
+	}
+	policies := experiments.DefaultReplayPolicies
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := trace.NewBlockSource(bytes.NewReader(file.Bytes()))
+		if _, err := s.ReplayRows(src, policies); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(events*len(policies))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // benchScalePeak measures the peak live heap while simulating an
 // N×-scaled workload, sampled via the runner's period hook (a GC before
 // each sample leaves only reachable memory). Materialized runs pin the

@@ -106,7 +106,7 @@ wait "${pcapd_pid}"
 # filter is the allocation-sensitive hot path; BENCH_FILTER='.' sweeps
 # everything.
 bench_artifact="${BENCH_ARTIFACT:-bench.txt}"
-bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|FullSimulation|PCAPOnAccess\$|DecodeV[12]\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$}"
+bench_filter="${BENCH_FILTER:-FSCache|TableTrain|TableLookup|CacheFilter|RunApp(Materialized|Streaming)\$|ReplayRows\$|FullSimulation|PCAPOnAccess\$|DecodeV[12]\$|DecodeV2(Parallel|Pushdown)\$|Fleet(1k|10k)\$|FleetReplay1k\$|PcapdSustained\$|Counters(Coalesced|Atomic|Mutex)\$}"
 echo "== go test -bench (hot path) -benchmem (artifact: ${bench_artifact})"
 if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME:-1s}" . >"${bench_artifact}" 2>&1; then
 	# PcaplintFull runs in its own process, appended to the artifact: it
@@ -142,6 +142,9 @@ if go test -run '^$' -bench "${bench_filter}" -benchmem -benchtime "${BENCH_TIME
 	if go run ./cmd/benchjson -o "${bench_json}" "${bench_artifact}"; then
 		echo "ci: wrote ${bench_json}"
 		if [[ "${BENCH_GATE:-on}" != "off" && -f "${bench_baseline}" ]]; then
+			# BenchmarkReplayRows (shared-pass replay, events×policies/s)
+			# is recorded but stays out of -metrics until a committed
+			# baseline carries it.
 			echo "== benchjson -gate ${bench_baseline} (blocking)"
 			go run ./cmd/benchjson -gate "${bench_baseline}" \
 				-metrics "BenchmarkFullSimulation:ios/s,BenchmarkDecodeV2:events/s,BenchmarkDecodeV2Parallel:events/s,BenchmarkFleet1k:machines/s,BenchmarkPcapdSustained:jobs/s,BenchmarkCountersCoalesced:adds/s" \

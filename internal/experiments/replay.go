@@ -70,40 +70,40 @@ type ReplayRow struct {
 }
 
 // ReplayRows runs every named policy over the source and returns one row
-// per policy, in order. The source is Reset between policies, so it must
-// be resettable (file-backed sources are).
+// per policy, in order. All policies share one pass over the source
+// (sim.Runner.RunSources), so the source is read once and never Reset.
 func (s *Suite) ReplayRows(src trace.Source, policies []string) ([]ReplayRow, error) {
 	return s.ReplayRowsObserved(src, policies, nil)
 }
 
 // ReplayRowsObserved is ReplayRows with a per-policy completion hook:
-// observe (when non-nil) receives each row as soon as its policy's run
-// finishes, on the calling goroutine — the daemon's per-policy progress
-// stream. The returned rows are identical to ReplayRows'.
+// observe (when non-nil) receives each row on the calling goroutine — the
+// daemon's per-policy progress stream. Every policy finishes together at
+// the end of the shared pass, so observe fires once per row, in policy
+// order, after the pass. An unknown policy name fails before the source
+// is touched. The returned rows are identical to ReplayRows'.
 func (s *Suite) ReplayRowsObserved(src trace.Source, policies []string, observe func(ReplayRow)) ([]ReplayRow, error) {
 	if len(policies) == 0 {
 		policies = DefaultReplayPolicies
 	}
-	rows := make([]ReplayRow, 0, len(policies))
+	pols := make([]sim.Policy, len(policies))
 	for i, name := range policies {
 		pol, ok := s.PolicyByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown policy %q (known: %s)",
 				name, strings.Join(replayPolicyNames, ", "))
 		}
-		if i > 0 {
-			if err := src.Reset(); err != nil {
-				return nil, fmt.Errorf("experiments: resetting trace source: %w", err)
-			}
-		}
-		res, err := s.runner.RunSource(src, pol)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replay under %s: %w", pol.Name, err)
-		}
-		row := ReplayRow{Policy: pol.Name, Result: res}
-		rows = append(rows, row)
+		pols[i] = pol
+	}
+	results, err := s.runner.RunSources(src, pols)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: replay: %w", err)
+	}
+	rows := make([]ReplayRow, len(pols))
+	for i, res := range results {
+		rows[i] = ReplayRow{Policy: pols[i].Name, Result: res}
 		if observe != nil {
-			observe(row)
+			observe(rows[i])
 		}
 	}
 	return rows, nil

@@ -111,6 +111,15 @@ func (spec *JobSpec) seed() uint64 {
 	return spec.Seed
 }
 
+// policyCount is the number of policies an eval or replay job simulates,
+// counting the default list when none is given.
+func (spec *JobSpec) policyCount() int64 {
+	if len(spec.Policies) == 0 {
+		return int64(len(experiments.DefaultReplayPolicies))
+	}
+	return int64(len(spec.Policies))
+}
+
 // predicate assembles the spec's event filter.
 func (spec *JobSpec) predicate() trace.Predicate {
 	return trace.Predicate{
@@ -348,7 +357,7 @@ func (s *Server) runEval(ctx context.Context, job *Job, jc *jobContext) (string,
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	m := newMeter(ctx, src, jc.local, job)
+	m := newMeter(ctx, src, jc.local, job, spec.policyCount())
 	rows, err := suite.ReplayRowsObserved(m, spec.Policies, func(row experiments.ReplayRow) {
 		jc.local.AddEnergy(row.Result.Energy.Total())
 		job.progressed(0, 0, 0, row.Result.Energy.Total())
@@ -382,7 +391,7 @@ func (s *Server) runReplay(ctx context.Context, job *Job, jc *jobContext) (strin
 	if spec.Execs > 0 {
 		src = trace.LimitExecs(src, spec.Execs)
 	}
-	m := newMeter(ctx, src, jc.local, job)
+	m := newMeter(ctx, src, jc.local, job, spec.policyCount())
 	rows, err := suite.ReplayRowsObserved(m, spec.Policies, func(row experiments.ReplayRow) {
 		jc.local.AddEnergy(row.Result.Energy.Total())
 		job.progressed(0, 0, 0, row.Result.Energy.Total())
@@ -459,26 +468,32 @@ func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string
 // execution boundaries (thousands of events apart), and counts flow into
 // the coalescing stats shard and the job's progress counters in
 // per-execution batches, so neither concern adds per-event overhead.
+//
+// The counters measure simulated work: every policy of the job simulates
+// each event and execution, so the meter multiplies what it sees in the
+// job's single pass over the source by fanout, the job's policy count.
 type meter struct {
-	src   trace.Source
-	ctx   context.Context
-	local *stats.Local
-	job   *Job
+	src    trace.Source
+	ctx    context.Context
+	local  *stats.Local
+	job    *Job
+	fanout int64
 
 	execEvents int64 // events seen in the current execution
 	err        error // sticky cancellation error
 }
 
-func newMeter(ctx context.Context, src trace.Source, local *stats.Local, job *Job) *meter {
+func newMeter(ctx context.Context, src trace.Source, local *stats.Local, job *Job, fanout int64) *meter {
 	//pcaplint:ignore ctxflow request-scoped by construction: the meter lives strictly inside the job's exec call and cannot outlive ctx
-	return &meter{src: src, ctx: ctx, local: local, job: job}
+	return &meter{src: src, ctx: ctx, local: local, job: job, fanout: fanout}
 }
 
 // flushExec commits the finished execution's event count.
 func (m *meter) flushExec() {
 	if m.execEvents > 0 {
-		m.local.AddEvents(m.execEvents)
-		m.job.progressed(m.execEvents, 0, 0, 0)
+		n := m.execEvents * m.fanout
+		m.local.AddEvents(n)
+		m.job.progressed(n, 0, 0, 0)
 		m.execEvents = 0
 	}
 }
@@ -493,8 +508,8 @@ func (m *meter) NextExec() (string, int, bool) {
 	}
 	app, exec, ok := m.src.NextExec()
 	if ok {
-		m.local.AddExecs(1)
-		m.job.progressed(0, 1, 0, 0)
+		m.local.AddExecs(m.fanout)
+		m.job.progressed(0, m.fanout, 0, 0)
 	}
 	return app, exec, ok
 }

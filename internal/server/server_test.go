@@ -327,6 +327,89 @@ func TestConcurrentJobsExactCounters(t *testing.T) {
 	}
 }
 
+// TestJobCountersPinSimulatedWork pins the literal per-job totals of
+// eval and replay jobs. The counters measure simulated work, so a job
+// that runs P policies over a source of E events in X executions reports
+// E×P events and X×P executions — even though all P policies share one
+// pass over the source. The expected totals come from an independent
+// drain of the same source, not from another job.
+func TestJobCountersPinSimulatedWork(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTraceFile(t, dir)
+	suite, err := experiments.NewSuite(experiments.DefaultSeed, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, _ := workload.ByName("nedit")
+	drain := func(src trace.Source) (events, execs int64) {
+		t.Helper()
+		traces, err := trace.Collect(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range traces {
+			events += int64(len(tr.Events))
+		}
+		return events, int64(len(traces))
+	}
+	open := func(pred trace.Predicate) trace.Source {
+		t.Helper()
+		fs, err := trace.OpenTraceFileOpts(path, trace.OpenOptions{Pred: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() })
+		return fs
+	}
+
+	srv, hs := newTestServer(t, Config{Workers: 1, TraceDir: dir})
+	var wantEvents, wantExecs int64
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		src  func() trace.Source
+	}{
+		{"eval", JobSpec{Kind: KindEval, App: "nedit", Policies: evalPolicies, Execs: 5},
+			func() trace.Source { return trace.LimitExecs(suite.SourceFor(app), 5) }},
+		{"eval-default-policies", JobSpec{Kind: KindEval, App: "nedit", Execs: 3},
+			func() trace.Source { return trace.LimitExecs(suite.SourceFor(app), 3) }},
+		{"eval-repeated-policy", JobSpec{Kind: KindEval, App: "nedit", Policies: []string{"tp", "tp"}, Execs: 2},
+			func() trace.Source { return trace.LimitExecs(suite.SourceFor(app), 2) }},
+		{"replay", JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: evalPolicies},
+			func() trace.Source { return open(trace.Predicate{}) }},
+		{"replay-default-policies", JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Execs: 4, Workers: 2},
+			func() trace.Source { return trace.LimitExecs(open(trace.Predicate{}), 4) }},
+		{"replay-pushdown", JobSpec{Kind: KindReplay, Trace: "nedit.pct2", Policies: []string{"base", "pcap"}, ToSec: 30},
+			func() trace.Source { return open(trace.Predicate{To: trace.FromSeconds(30)}) }},
+	} {
+		events, execs := drain(tc.src())
+		pols := int64(len(tc.spec.Policies))
+		if pols == 0 {
+			pols = int64(len(experiments.DefaultReplayPolicies))
+		}
+		v := submitWait(t, hs.URL, tc.spec)
+		if v.State != StateDone {
+			t.Fatalf("%s: state = %q, error = %q", tc.name, v.State, v.Error)
+		}
+		if events == 0 || execs == 0 {
+			t.Fatalf("%s: independent drain saw %d events in %d executions", tc.name, events, execs)
+		}
+		if v.Events != events*pols || v.Execs != execs*pols {
+			t.Errorf("%s: job counted %d events, %d execs; want %d×%d = %d, %d×%d = %d",
+				tc.name, v.Events, v.Execs, events, pols, events*pols, execs, pols, execs*pols)
+		}
+		if v.PoliciesDone != pols {
+			t.Errorf("%s: policies_done = %d, want %d", tc.name, v.PoliciesDone, pols)
+		}
+		wantEvents += events * pols
+		wantExecs += execs * pols
+	}
+	snap := srv.Counters().Snapshot()
+	if snap.Events != wantEvents || snap.Execs != wantExecs {
+		t.Errorf("global counters: %d events, %d execs; want %d, %d", snap.Events, snap.Execs, wantEvents, wantExecs)
+	}
+}
+
 // TestClientDisconnectCancelsJob: a synchronous client that hangs up
 // mid-job must cancel it, and the worker (plus its pooled context) must
 // come back to serve later jobs.

@@ -9,6 +9,8 @@ import (
 // Streamed progress: GET /jobs/{id}/events serves the job's lifecycle as
 // Server-Sent Events. Each observable change (state transition, finished
 // policy run) emits one "progress" event whose data is the job's View;
+// eval and replay jobs run all their policies in one shared pass, so
+// their policy completions land together at the end of the pass;
 // the final event is named after the terminal state and carries the full
 // view including Output. The stream is change-driven — watchers park on
 // the job's change channel, no polling — so an idle job costs nothing.

@@ -59,11 +59,11 @@ func (r *Runner) RunSourceTraced(src trace.Source, pol Policy, opt TraceOptions)
 	if opt.Sink != nil || opt.Flip != nil {
 		tr = &tracedRun{opt: opt}
 	}
-	return r.runSource(src, pol, tr)
+	return r.runOne(src, pol, tr)
 }
 
 // tracedRun is the per-call state of a traced run: the options and the
-// running decision counter. It lives on the runSource frame, never in the
+// running decision counter. It lives on the runOne frame, never in the
 // pooled runState, so concurrent traced runs on one Runner are
 // independent.
 type tracedRun struct {

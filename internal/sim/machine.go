@@ -8,42 +8,128 @@ import (
 	"pcapsim/internal/trace"
 )
 
-// The stepable per-machine state machine.
+// The stepable per-machine state machine and the shared pass it steps
+// through.
 //
-// A machine is one simulated user machine: a policy, its predictor state,
-// a pooled runState, and a cursor into a stream of executions. It is the
-// unit the fleet engine (internal/fleet) multiplexes over a shared virtual
-// clock, and RunSource/RunSourceTraced are thin drivers over it — the
-// single-machine run is exactly "step the machine until it has no next
-// event". The extraction preserves the original runSource/runExecution
-// operation order bit for bit: every float accumulation into the AppResult
-// happens at the same point in the same sequence, so results are
-// byte-identical to the pre-extraction simulator (enforced by the
-// experiments suite golden and the differential tests).
+// A run splits into a policy-independent half and a per-policy half. The
+// pass (one per run) pulls each execution from the source, drains it,
+// filters it through the file cache and prepares it — exactly once, into a
+// pooled runState. A machine (one per policy) is a simulated user
+// machine: a policy, its predictor state, its policyState working set,
+// and a cursor into the pass's executions. After prepare an execution is
+// read-only, so any number of machines can adopt the same one in turn.
 //
-// Step protocol:
+// RunSources drives several machines over one pass in execution-major
+// order: pull an execution, then let every machine adopt it and step
+// through all of its accesses before the next pull. RunSource and
+// RunSourceTraced are its one-policy case. The fleet engine
+// (internal/fleet) instead owns one pass per Machine and multiplexes many
+// of them over a shared virtual clock. Either way each machine performs
+// the same operations in the same order as the original single-policy
+// runSource/runExecution loop — every float accumulation into its
+// AppResult happens at the same point in the same sequence — so results
+// are byte-identical to it (enforced by the experiments suite golden and
+// the differential tests).
 //
-//	m, err := r.newMachine(src, pol, tr)
+// Step protocol of a machine that owns its pass:
+//
 //	for { if _, ok := m.nextTime(); !ok { break }; m.step() }
-//	res, err := m.finish()
+//	res, err := m.finish(); p.close()
 //
 // nextTime returns the session time of the machine's next disk access —
 // the local virtual clock, where executions abut end-to-start (execution
 // k+1's time 0 is the session instant at which execution k ended). It
-// transparently pulls, prepares and opens executions from the source as
-// the current one drains; executions with no disk accesses are accounted
+// transparently pulls executions from the pass and adopts them as the
+// current one drains; executions with no disk accesses are accounted
 // (pure idle) and skipped in the same call. step processes exactly one
 // access: the per-process predictor update, the global combiner decision
 // for the period the access opens, its classification and its energy
 // accounting. finish validates the source, resolves StateEntries and
-// returns the pooled scratch state; it must be called exactly once, after
-// which the machine is dead.
+// returns the result; the pass's close then hands the pooled runState
+// back, exactly once.
+
+// pass is the shared, policy-independent half of a run: a cursor over the
+// source that prepares each execution once for every machine stepping
+// through it. It owns a pooled runState from openPass until close.
+type pass struct {
+	r       *Runner
+	src     trace.Source
+	rs      *runState
+	borrows bool
+	ex      *execution // the most recently prepared execution
+	err     error      // first prepare error
+	done    bool       // source exhausted or failed; no further pulls
+}
+
+// openPass starts a pass over src with working sets for n policies.
+func (r *Runner) openPass(p *pass, src trace.Source, n int) {
+	// Sources that expose their current execution as a slice (ExecSlicer)
+	// lend that slice out only until their next NextExec; it must not be
+	// adopted as the reusable drain buffer, or a pooled runState could
+	// later scribble over a buffer the source has recycled elsewhere.
+	_, borrows := src.(trace.ExecSlicer)
+	*p = pass{r: r, src: src, rs: r.getState(n), borrows: borrows}
+}
+
+// pull advances the source to its next execution, drains it, prepares
+// it through the file cache and schedules its service into p.ex. It returns false when the source
+// is exhausted or an error occurred (see failure).
+func (p *pass) pull() bool {
+	if p.done {
+		return false
+	}
+	app, exec, ok := p.src.NextExec()
+	if !ok {
+		p.done = true
+		return false
+	}
+	rs := p.rs
+	events := trace.Drain(p.src, rs.buf)
+	if !p.borrows {
+		rs.buf = events
+	}
+	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
+	ex, err := rs.prepare(&rs.view, p.r.cfg.Cache)
+	if err != nil {
+		p.err, p.done = err, true
+		return false
+	}
+	ex.serviceEnd = p.r.schedule(ex.serviceEnd[:0], ex.accesses)
+	p.ex = ex
+	return true
+}
+
+// failure reports why the pass stopped early: a prepare error, else the
+// source's own error, else nil.
+func (p *pass) failure() error {
+	if p.err != nil {
+		return p.err
+	}
+	if err := p.src.Err(); err != nil {
+		return fmt.Errorf("sim: reading trace source: %w", err)
+	}
+	return nil
+}
+
+// close returns the pooled state exactly once. No machine of the pass may
+// be stepped afterwards.
+func (p *pass) close() {
+	if p.rs != nil {
+		p.r.putState(p.rs)
+		p.rs = nil
+		p.ex = nil
+	}
+}
+
+// machine is the per-policy half of a run: the policy, its factory and
+// learned state, its working set, and its cursor into the current
+// execution.
 type machine struct {
 	r   *Runner
-	src trace.Source
+	p   *pass
+	ps  *policyState
 	pol Policy
 	tr  *tracedRun
-	rs  *runState
 	res *AppResult
 	// hook receives a record per evaluated global idle period. It is
 	// captured from Runner.PeriodHook at construction (the documented
@@ -53,23 +139,18 @@ type machine struct {
 
 	newFactory func() predictor.Factory
 	f          predictor.Factory
-	borrows    bool
-	execIdx    int // number of executions pulled from the source
+	execIdx    int // number of executions adopted
 
-	ex   *execution // current open execution, nil before the first pull
+	ex   *execution // current open execution, nil before the first adopt
 	i    int        // next access index within ex
 	base trace.Time // session time at which the current execution began
 
-	err  error
-	done bool // source exhausted or failed; no further pulls
+	err error // first round-trip error; stops the machine
 }
 
-// newMachine validates the policy and assembles a machine over src. The
-// machine owns a pooled runState from construction until finish.
-func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machine, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
+// initMachine assembles a machine stepping through p with working set ps.
+// The policy must already be validated.
+func (r *Runner) initMachine(m *machine, p *pass, ps *policyState, pol Policy, tr *tracedRun) {
 	newFactory := pol.NewFactory
 	if newFactory == nil {
 		// GlobalOracle without an explicit factory: use the local oracle
@@ -77,31 +158,25 @@ func (r *Runner) newMachine(src trace.Source, pol Policy, tr *tracedRun) (*machi
 		breakeven := r.cfg.Disk.Breakeven
 		newFactory = func() predictor.Factory { return predictor.NewOracle(breakeven) }
 	}
-	// Sources that expose their current execution as a slice (ExecSlicer)
-	// lend that slice out only until their next NextExec; it must not be
-	// adopted as the reusable drain buffer, or a pooled runState could
-	// later scribble over a buffer the source has recycled elsewhere.
-	_, borrows := src.(trace.ExecSlicer)
-	return &machine{
+	*m = machine{
 		r:   r,
-		src: src,
+		p:   p,
+		ps:  ps,
 		pol: pol,
 		tr:  tr,
-		rs:  r.getState(),
 		res: &AppResult{
 			Policy:       pol.Name,
 			StateEntries: -1,
 		},
 		hook:       r.PeriodHook,
 		newFactory: newFactory,
-		borrows:    borrows,
-	}, nil
+	}
 }
 
 // nextTime returns the session time of the machine's next access, pulling
-// and opening executions from the source as needed. ok=false means the
-// machine has no further events — the source is exhausted or failed (see
-// finish) — and step must not be called.
+// and adopting executions from its pass as needed. ok=false means the
+// machine has no further events — the source is exhausted or failed, or
+// a round trip failed (see finish) — and step must not be called.
 func (m *machine) nextTime() (trace.Time, bool) {
 	for m.ex == nil || m.i >= len(m.ex.accesses) {
 		if m.ex != nil {
@@ -110,25 +185,20 @@ func (m *machine) nextTime() (trace.Time, bool) {
 			m.base += m.ex.end
 			m.ex = nil
 		}
-		if m.done || !m.pullExecution() {
+		if m.err != nil || !m.p.pull() || !m.adopt(m.p.ex) {
 			return 0, false
 		}
 	}
 	return m.base + m.ex.accesses[m.i].Time, true
 }
 
-// pullExecution advances the source to its next execution, runs the
-// per-execution factory policy (fresh, reused, or round-tripped), prepares
-// the trace through the file cache, and opens the execution for stepping.
-// It returns false when the source is exhausted or an error occurred.
-func (m *machine) pullExecution() bool {
-	app, exec, ok := m.src.NextExec()
-	if !ok {
-		m.done = true
-		return false
-	}
+// adopt opens a prepared execution for stepping: it runs the
+// per-execution factory policy (fresh, reused, or round-tripped) and the
+// accounting prologue. It returns false, latching the error, when the
+// round trip fails.
+func (m *machine) adopt(ex *execution) bool {
 	if m.execIdx == 0 {
-		m.res.App = app
+		m.res.App = ex.app
 	}
 	switch {
 	case m.f == nil || !m.pol.Reuse:
@@ -136,21 +206,10 @@ func (m *machine) pullExecution() bool {
 	case m.execIdx > 0 && m.pol.RoundTrip != nil:
 		nf, err := m.pol.RoundTrip(m.f)
 		if err != nil {
-			m.fail(fmt.Errorf("sim: round-tripping %s after execution %d: %w", m.pol.Name, m.execIdx-1, err))
+			m.err = fmt.Errorf("sim: round-tripping %s after execution %d: %w", m.pol.Name, m.execIdx-1, err)
 			return false
 		}
 		m.f = nf
-	}
-	rs := m.rs
-	events := trace.Drain(m.src, rs.buf)
-	if !m.borrows {
-		rs.buf = events
-	}
-	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
-	ex, err := rs.prepare(&rs.view, m.r.cfg.Cache)
-	if err != nil {
-		m.fail(err)
-		return false
 	}
 	m.execIdx++
 	m.openExecution(ex)
@@ -158,19 +217,11 @@ func (m *machine) pullExecution() bool {
 	return true
 }
 
-// fail latches the machine's first error and stops further pulls.
-func (m *machine) fail(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-	m.done = true
-}
-
 // openExecution runs the per-execution accounting prologue: totals, the
 // FIFO busy-time schedule, the leading unmanaged idle, and the reset of
 // the per-pid predictor and decision working set.
 func (m *machine) openExecution(ex *execution) {
-	r, rs, res := m.r, m.rs, m.res
+	r, ps, res := m.r, m.ps, m.res
 	d := &r.cfg.Disk
 	res.TotalIOs += ex.totalIOs
 	res.DiskAccesses += len(ex.accesses)
@@ -192,34 +243,22 @@ func (m *machine) openExecution(ex *execution) {
 		return
 	}
 
-	// Busy-time model: accesses queue FIFO; service i starts at
-	// max(arrival, previous completion).
-	serviceEnd := rs.serviceEnd[:0]
-	for range ex.accesses {
-		serviceEnd = append(serviceEnd, 0)
-	}
-	rs.serviceEnd = serviceEnd
-	var prevEnd trace.Time
-	for i, a := range ex.accesses {
-		start := a.Time
-		if prevEnd > start {
-			start = prevEnd
-		}
-		prevEnd = start + r.serviceTime(a)
-		serviceEnd[i] = prevEnd
+	// Busy energy: every access is served at full power for its service
+	// time (the schedule itself, ex.serviceEnd, is shared by the pass).
+	for _, a := range ex.accesses {
 		res.Energy.Busy += r.serviceTime(a).Seconds() * d.BusyPower
 	}
 
 	// Leading idle before the first access: the disk spins unmanaged.
 	r.accountIdle(res, 0, ex.accesses[0].Time)
 
-	if rs.preds == nil {
-		rs.preds = make(map[trace.PID]predictor.Process)
-		rs.dec = make(map[trace.PID]decisionState)
+	if ps.preds == nil {
+		ps.preds = make(map[trace.PID]predictor.Process)
+		ps.dec = make(map[trace.PID]decisionState)
 	}
-	clear(rs.preds)
-	clear(rs.dec)
-	rs.decided = rs.decided[:0] // sorted pids with decisions, for determinism
+	clear(ps.preds)
+	clear(ps.dec)
+	ps.decided = ps.decided[:0] // sorted pids with decisions, for determinism
 }
 
 // step processes the machine's next access: it feeds the access to its
@@ -228,12 +267,12 @@ func (m *machine) openExecution(ex *execution) {
 // and charges its energy. Callers must have observed ok=true from
 // nextTime since the last step.
 func (m *machine) step() {
-	r, rs, res, ex, f, pol, d := m.r, m.rs, m.res, m.ex, m.f, m.pol, &m.r.cfg.Disk
+	r, ps, res, ex, f, pol, d := m.r, m.ps, m.res, m.ex, m.f, m.pol, &m.r.cfg.Disk
 	i := m.i
 	m.i++
 	a := ex.accesses[i]
-	preds, dec := rs.preds, rs.dec
-	serviceEnd := rs.serviceEnd
+	preds, dec := ps.preds, ps.dec
+	serviceEnd := ex.serviceEnd
 
 	pred, ok := preds[a.Pid]
 	if !ok {
@@ -273,7 +312,7 @@ func (m *machine) step() {
 	if _, had := dec[a.Pid]; !had {
 		// Insert a.Pid at its sorted position (equivalent to the
 		// append-and-sort it replaces, without sort.Slice's allocation).
-		decided := rs.decided
+		decided := ps.decided
 		j := len(decided)
 		decided = append(decided, 0)
 		for j > 0 && decided[j-1] > a.Pid {
@@ -281,7 +320,7 @@ func (m *machine) step() {
 			j--
 		}
 		decided[j] = a.Pid
-		rs.decided = decided
+		ps.decided = decided
 	}
 	dec[a.Pid] = st
 
@@ -309,7 +348,7 @@ func (m *machine) step() {
 			decider = a.Pid
 		}
 	} else {
-		s, src, found, decider = r.combine(ex, dec, rs.decided, T0, T1)
+		s, src, found, decider = r.combine(ex, dec, ps.decided, T0, T1)
 	}
 	if m.tr != nil {
 		s, src, found = m.tr.decide(r, ex, a, serviceEnd[i], T0, T1, s, src, found, terminal, long)
@@ -330,17 +369,15 @@ func (m *machine) step() {
 	r.accountPeriod(res, serviceEnd[i], T1, s, found, long, src)
 }
 
-// finish closes the machine: it surfaces any latched or source error,
-// rejects empty workloads, resolves the policy's learned-state size, and
-// returns the scratch state to the runner's pool. The machine must not be
-// used afterwards.
+// finish closes the machine: it surfaces any latched, prepare or source
+// error, rejects empty workloads, and resolves the policy's learned-state
+// size. The pooled state belongs to the pass, which the driver closes.
 func (m *machine) finish() (*AppResult, error) {
-	defer m.release()
 	if m.err != nil {
 		return nil, m.err
 	}
-	if err := m.src.Err(); err != nil {
-		return nil, fmt.Errorf("sim: reading trace source: %w", err)
+	if err := m.p.failure(); err != nil {
+		return nil, err
 	}
 	if m.res.Executions == 0 {
 		return nil, fmt.Errorf("sim: no traces")
@@ -349,15 +386,6 @@ func (m *machine) finish() (*AppResult, error) {
 		m.res.StateEntries = sf.StateSize()
 	}
 	return m.res, nil
-}
-
-// release returns the pooled state exactly once.
-func (m *machine) release() {
-	if m.rs != nil {
-		m.r.putState(m.rs)
-		m.rs = nil
-		m.ex = nil
-	}
 }
 
 // Machine is the exported stepable simulation of one machine's session: a
@@ -372,17 +400,21 @@ func (m *machine) release() {
 // Machine without Finish leaks its runState from the runner's pool — it
 // is garbage collected, but the recycling benefit is lost.
 type Machine struct {
-	m *machine
+	m machine
+	p pass
 }
 
-// NewMachine returns a stepable Machine simulating src under pol. The
-// Machine borrows a pooled runState from the Runner; Finish returns it.
+// NewMachine returns a stepable Machine simulating src under pol over a
+// pass of its own. The Machine borrows a pooled runState from the Runner;
+// Finish returns it.
 func (r *Runner) NewMachine(src trace.Source, pol Policy) (*Machine, error) {
-	m, err := r.newMachine(src, pol, nil)
-	if err != nil {
+	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{m: m}, nil
+	fm := new(Machine)
+	r.openPass(&fm.p, src, 1)
+	r.initMachine(&fm.m, &fm.p, &fm.p.rs.pols[0], pol, nil)
+	return fm, nil
 }
 
 // NextTime returns the session-clock time of the machine's next disk
@@ -397,4 +429,7 @@ func (fm *Machine) Step() { fm.m.step() }
 
 // Finish completes the session and returns the aggregated result. It must
 // be called exactly once.
-func (fm *Machine) Finish() (*AppResult, error) { return fm.m.finish() }
+func (fm *Machine) Finish() (*AppResult, error) {
+	defer fm.p.close()
+	return fm.m.finish()
+}

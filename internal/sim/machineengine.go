@@ -30,22 +30,22 @@ func (r *Runner) MachineEnergy(traces []*trace.Trace, pol Policy) (disk.EnergyBr
 	// layer directly with a capture hook — the same prepare/step path as
 	// RunApp, without mutating r (whose PeriodHook may be owned by a
 	// concurrent caller) and without hand-assembling a scratch Runner.
-	m, err := r.newMachine(trace.NewSliceSource(traces...), pol, nil)
+	fm, err := r.NewMachine(trace.NewSliceSource(traces...), pol)
 	if err != nil {
 		return disk.EnergyBreakdown{}, err
 	}
-	m.hook = func(p PeriodRecord) {
+	fm.m.hook = func(p PeriodRecord) {
 		if p.Shutdown {
 			schedule = append(schedule, shutdownCmd{exec: p.Execution, at: p.At})
 		}
 	}
 	for {
-		if _, ok := m.nextTime(); !ok {
+		if _, ok := fm.NextTime(); !ok {
 			break
 		}
-		m.step()
+		fm.Step()
 	}
-	if _, err := m.finish(); err != nil {
+	if _, err := fm.Finish(); err != nil {
 		return disk.EnergyBreakdown{}, err
 	}
 

@@ -44,6 +44,9 @@ type execution struct {
 	// nextLocal[i] is the index (into accesses) of the next access by the
 	// same process after accesses[i], or -1.
 	nextLocal []int
+	// serviceEnd[i] is the time the disk finishes serving accesses[i]
+	// (Runner.schedule).
+	serviceEnd []trace.Time
 	// procs maps pid to lifetime and access info.
 	procs map[trace.PID]*procInfo
 	// exits lists processes' exit events sorted by time.
@@ -56,16 +59,17 @@ type execution struct {
 	end trace.Time
 }
 
-// runState is the pooled per-run scratch space of one RunSource call: the
+// runState is the pooled scratch space of one pass over a source: the
 // drain buffer, the file cache (arena reset, not reallocated, between
 // executions), the filtered-event buffer, the prepared execution with all
-// of its slices and maps, and the runner-loop working set (per-pid
-// predictors, standing decisions, the service-completion schedule).
+// of its slices and maps and the procInfo free list — all of which exist
+// once per pass, however many policies step through it — plus one
+// policyState per policy.
 //
-// Ownership discipline: a runState is owned by exactly one RunSource call
-// at a time (Runner keeps a sync.Pool of them), and everything inside it
-// is overwritten at the next execution's prepare — so nothing reachable
-// from a runState may be retained across executions, matching the
+// Ownership discipline: a runState is owned by exactly one pass at a time
+// (Runner keeps a sync.Pool of them), and everything inside it is
+// overwritten at the next execution's prepare — so nothing reachable from
+// a runState may be retained across executions, matching the
 // trace.Source borrowing contract for drained event slices.
 type runState struct {
 	buf      []trace.Event // drain buffer for purely streaming sources
@@ -75,34 +79,44 @@ type runState struct {
 	ex       execution
 	procFree []*procInfo // recycled procInfo values
 
-	// runExecution working set.
-	serviceEnd []trace.Time
-	preds      map[trace.PID]predictor.Process
-	dec        map[trace.PID]decisionState
-	decided    []trace.PID
+	// pols holds one working set per policy of the pass, in policy order.
+	pols []policyState
 }
 
-// getState fetches a runState compatible with the runner's configuration.
-// The caller takes ownership and must pair it with putState.
+// policyState is one policy's per-execution working set: its per-pid
+// predictors and standing decisions, and the decided pids in sorted
+// order. It is the only simulation state a policy does not share with
+// the other policies of its pass.
+type policyState struct {
+	preds   map[trace.PID]predictor.Process
+	dec     map[trace.PID]decisionState
+	decided []trace.PID
+}
+
+// getState fetches a runState with working sets for n policies. The
+// caller takes ownership and must pair it with putState.
 //
 //pcaplint:owner-transfer
-func (r *Runner) getState() *runState {
-	if rs, ok := r.statePool.Get().(*runState); ok {
-		return rs
+func (r *Runner) getState(n int) *runState {
+	rs, ok := r.statePool.Get().(*runState)
+	if !ok {
+		rs = new(runState)
 	}
-	return &runState{
-		preds: make(map[trace.PID]predictor.Process),
-		dec:   make(map[trace.PID]decisionState),
+	for len(rs.pols) < n {
+		rs.pols = append(rs.pols, policyState{})
 	}
+	return rs
 }
 
-// putState returns a runState to the pool for the next RunSource call.
+// putState returns a runState to the pool for the next pass.
 func (r *Runner) putState(rs *runState) {
 	// Drop predictor references so pooled states do not pin a finished
 	// run's learned state, and let go of the last drained event slice (it
 	// may be on loan from the source); the containers themselves are kept.
-	clear(rs.preds)
-	clear(rs.dec)
+	for i := range rs.pols {
+		clear(rs.pols[i].preds)
+		clear(rs.pols[i].dec)
+	}
 	rs.view.Events = nil
 	r.statePool.Put(rs)
 }

@@ -128,7 +128,7 @@ type PeriodRecord struct {
 
 // Runner executes policies over application traces.
 //
-// A Runner is safe for concurrent RunApp/RunSource calls: cfg is
+// A Runner is safe for concurrent RunApp/RunSource/RunSources calls: cfg is
 // immutable after construction and all per-run state lives in the
 // per-call execution and AppResult (the file cache is built inside
 // prepare, and traces are read only — events are copied by value into the
@@ -145,8 +145,8 @@ type Runner struct {
 	// PeriodHook, if non-nil, receives a record for every evaluated
 	// global idle period — a debugging and testing aid.
 	PeriodHook func(PeriodRecord)
-	// statePool recycles per-run scratch state (file cache arena, event
-	// buffers, per-pid maps) across RunSource calls, so repeated runs on
+	// statePool recycles per-pass scratch state (file cache arena, event
+	// buffers, per-policy working sets) across runs, so repeated runs on
 	// one Runner allocate only what a single run's high-water mark needs.
 	statePool sync.Pool
 }
@@ -177,6 +177,23 @@ func (r *Runner) serviceTime(e trace.Event) trace.Time {
 	return r.cfg.ServiceBase + transfer
 }
 
+// schedule appends to dst the time the disk finishes serving each access
+// under the busy-time model: accesses queue FIFO, and service i starts at
+// max(arrival, previous completion). It depends only on the accesses, so
+// a pass computes it once for every policy.
+func (r *Runner) schedule(dst []trace.Time, accesses []trace.Event) []trace.Time {
+	var prevEnd trace.Time
+	for _, a := range accesses {
+		start := a.Time
+		if prevEnd > start {
+			start = prevEnd
+		}
+		prevEnd = start + r.serviceTime(a)
+		dst = append(dst, prevEnd)
+	}
+	return dst
+}
+
 // RunApp simulates every execution trace of one application under the
 // given policy and returns the aggregated result. It is a thin wrapper
 // over RunSource with the traces adapted to a Source.
@@ -185,38 +202,87 @@ func (r *Runner) RunApp(traces []*trace.Trace, pol Policy) (*AppResult, error) {
 }
 
 // RunSource simulates every execution yielded by src under the given
-// policy and returns the aggregated result. Executions are consumed one
-// at a time: peak memory is one execution's events (and zero extra for
-// sources that already hold them, via trace.ExecSlicer), independent of
-// how many executions the source yields. The source must yield at least
-// one execution; all executions are expected to belong to one
-// application (the result is labelled with the first one's name).
+// policy and returns the aggregated result. It is the one-policy case of
+// RunSources. Executions are consumed one at a time: peak memory is one
+// execution's events (and zero extra for sources that already hold them,
+// via trace.ExecSlicer), independent of how many executions the source
+// yields. The source must yield at least one execution; all executions
+// are expected to belong to one application (the result is labelled with
+// the first one's name).
 //
 // RunSource over a source yielding the same executions as a []*trace.Trace
 // produces a result identical to RunApp over that slice — the simulation
 // per execution, including floating-point accumulation order, is shared
 // code.
 func (r *Runner) RunSource(src trace.Source, pol Policy) (*AppResult, error) {
-	return r.runSource(src, pol, nil)
+	return r.runOne(src, pol, nil)
 }
 
-// runSource is the shared body of RunSource and RunSourceTraced: a thin
-// driver over the stepable machine (machine.go) that advances it event by
-// event until the source is exhausted. tr is nil for plain runs; a traced
-// run threads it into every step so decision records and counterfactual
-// flips share the single simulation loop.
-func (r *Runner) runSource(src trace.Source, pol Policy, tr *tracedRun) (*AppResult, error) {
-	m, err := r.newMachine(src, pol, tr)
+// RunSources simulates every execution yielded by src under each of the
+// given policies in a single pass over the source, returning one result
+// per policy, in order. Each execution is pulled, drained, filtered
+// through the file cache and prepared once; every policy then steps
+// through that same read-only execution before the next one is pulled.
+// Each result is identical to a separate RunSource call over the same
+// executions (DESIGN.md §18), so the source never needs a Reset. Policies
+// are validated before the source is touched; on any error — a source or
+// prepare failure, or one policy's round trip — no results are returned.
+func (r *Runner) RunSources(src trace.Source, pols []Policy) ([]*AppResult, error) {
+	return r.runSources(src, pols, nil)
+}
+
+// runOne is the one-policy case of runSources, shared by RunSource and
+// RunSourceTraced.
+func (r *Runner) runOne(src trace.Source, pol Policy, tr *tracedRun) (*AppResult, error) {
+	res, err := r.runSources(src, []Policy{pol}, tr)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		if _, ok := m.nextTime(); !ok {
-			break
-		}
-		m.step()
+	return res[0], nil
+}
+
+// runSources is the driver behind every non-fleet run: one pass over the
+// source (machine.go) with one machine per policy, stepped in
+// execution-major order. tr is nil for plain runs; a traced run has
+// exactly one policy and threads tr into every step so decision records
+// and counterfactual flips share the single simulation loop.
+func (r *Runner) runSources(src trace.Source, pols []Policy, tr *tracedRun) ([]*AppResult, error) {
+	if len(pols) == 0 {
+		return nil, fmt.Errorf("sim: no policies")
 	}
-	return m.finish()
+	for _, pol := range pols {
+		if err := pol.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	p := new(pass)
+	r.openPass(p, src, len(pols))
+	defer p.close()
+	ms := make([]machine, len(pols))
+	for k, pol := range pols {
+		r.initMachine(&ms[k], p, &p.rs.pols[k], pol, tr)
+	}
+run:
+	for p.pull() {
+		for k := range ms {
+			m := &ms[k]
+			if !m.adopt(p.ex) {
+				break run
+			}
+			for m.i < len(p.ex.accesses) {
+				m.step()
+			}
+		}
+	}
+	out := make([]*AppResult, len(ms))
+	for k := range ms {
+		res, err := ms[k].finish()
+		if err != nil {
+			return nil, err
+		}
+		out[k] = res
+	}
+	return out, nil
 }
 
 // decisionState is a process's standing decision: the absolute time at
