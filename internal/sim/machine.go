@@ -430,6 +430,10 @@ func (fm *Machine) Step() { fm.m.step() }
 // Finish completes the session and returns the aggregated result. It must
 // be called exactly once.
 func (fm *Machine) Finish() (*AppResult, error) {
-	defer fm.p.close()
-	return fm.m.finish()
+	res, err := fm.m.finish()
+	// The open execution lives inside the pooled runState: drop it so a
+	// retained Machine cannot pin the state after the pool lets it go.
+	fm.m.ex = nil
+	fm.p.close()
+	return res, err
 }
