@@ -517,7 +517,7 @@ func BenchmarkCacheFilter(b *testing.B) {
 // benchmarkDecode measures full-stream decode throughput of one on-disk
 // format: every execution of xemacs is encoded once, then each iteration
 // decodes the whole byte stream execution by execution through
-// trace.Drain — exactly how sim.RunSource consumes a file-backed source.
+// ExecEvents — exactly how sim.RunSource consumes a file-backed source.
 // bytes/op is the encoded size; events/s is the decoded event rate.
 func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, open func(*bytes.Reader) trace.Source) {
 	b.Helper()
@@ -532,7 +532,6 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 		events += tr.Len()
 	}
 	data := buf.Bytes()
-	drained := make([]trace.Event, 0, 4096)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -543,8 +542,7 @@ func benchmarkDecode(b *testing.B, encode func(io.Writer, *trace.Trace) error, o
 			if _, _, ok := src.NextExec(); !ok {
 				break
 			}
-			drained = trace.Drain(src, drained)
-			n += len(drained)
+			n += len(src.ExecEvents())
 		}
 		if err := src.Err(); err != nil {
 			b.Fatal(err)
@@ -562,8 +560,8 @@ func BenchmarkDecodeV1(b *testing.B) {
 	benchmarkDecode(b, trace.WriteBinary, func(r *bytes.Reader) trace.Source { return trace.NewDecoder(r) })
 }
 
-// BenchmarkDecodeV2 is the columnar v2 block decoder (batched decode into
-// a pooled frame).
+// BenchmarkDecodeV2 is the columnar v2 block decoder (each block decoded
+// straight into the source's execution buffer).
 func BenchmarkDecodeV2(b *testing.B) {
 	benchmarkDecode(b, trace.WriteColumnar, func(r *bytes.Reader) trace.Source { return trace.NewBlockSource(r) })
 }
@@ -635,7 +633,6 @@ func BenchmarkDecodeV2Pushdown(b *testing.B) {
 		}
 	}
 	pred := trace.Predicate{From: maxTime / 4, To: maxTime / 2}
-	drained := make([]trace.Event, 0, 4096)
 	var events, read int64
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
@@ -651,8 +648,7 @@ func BenchmarkDecodeV2Pushdown(b *testing.B) {
 			if _, _, ok := fs.NextExec(); !ok {
 				break
 			}
-			drained = trace.Drain(fs, drained)
-			events += int64(len(drained))
+			events += int64(len(fs.ExecEvents()))
 		}
 		if err := fs.Err(); err != nil {
 			b.Fatal(err)

@@ -25,6 +25,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# The benchmark harness is its own module under an underscore-prefixed
+# directory, so ./... above skips it; it imports this module's APIs, so
+# build and vet it here to catch an API change that breaks it. The build
+# output is discarded: its one main package would otherwise leave a
+# binary inside the harness directory.
+echo "== _perfbench: go build ./... && go vet ./..."
+(cd _perfbench && go build -o /dev/null ./... && go vet ./...)
+
 # Fast lint smoke: the analyzer corpora and CFG unit tests finish in a
 # couple of seconds and catch a broken analyzer before the full-tree
 # lint pass and the race suite spend minutes on it.

@@ -2,15 +2,15 @@
 // counts, per-process activity, idle-period structure at a given
 // breakeven, and optionally the first events in text form.
 //
-// The file is processed as a stream in a single pass — events are never
-// loaded into memory, so arbitrarily large traces (e.g. tracegen output
-// concatenated across executions) inspect in constant memory. Files
-// holding several executions get one summary block per execution.
+// The file is processed as a stream in a single pass, one execution at a
+// time, so arbitrarily large traces (e.g. tracegen output concatenated
+// across executions) inspect in the memory of their largest execution.
+// Files holding several executions get one summary block per execution.
 //
 // The input format (v1 binary, v2 columnar or text) is auto-detected
 // from the leading magic bytes. For v2 columnar files, -blocks prints a
 // per-block report: events per block, encoded bytes per event, and the
-// per-column compression ratio against the raw struct-of-arrays size;
+// per-column compression ratio against the raw fixed-width size;
 // -index prints the seekable index footer (per-block offsets and column
 // statistics) after verifying its CRC and that every recorded offset
 // points at a real execution or block header.
@@ -102,9 +102,7 @@ func main() {
 	}
 }
 
-// inspect consumes one execution from src and prints its summary. All
-// statistics are computed incrementally; only the -head buffer and
-// per-process aggregates are retained.
+// inspect consumes one execution from src and prints its summary.
 func inspect(src trace.Source, app string, exec int, head int, breakeven float64) {
 	type pstat struct {
 		ios   int
@@ -114,7 +112,6 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 	var (
 		v         = trace.NewValidator(app, exec)
 		validErr  error
-		events    int
 		ios       int
 		duration  trace.Time
 		procs     = map[trace.PID]*pstat{}
@@ -124,21 +121,13 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 		short     int
 		long      int
 		longTotal trace.Time
-		headBuf   []trace.Event
 	)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
+	events := src.ExecEvents()
+	for _, e := range events {
 		if validErr == nil {
 			validErr = v.Event(e)
 		}
-		events++
 		duration = e.Time
-		if len(headBuf) < head {
-			headBuf = append(headBuf, e)
-		}
 		if !e.IsIO() {
 			continue
 		}
@@ -167,7 +156,7 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 	}
 
 	fmt.Printf("app %s execution %d\n", app, exec)
-	fmt.Printf("events %d (I/O %d), duration %.1f s\n", events, ios, duration.Seconds())
+	fmt.Printf("events %d (I/O %d), duration %.1f s\n", len(events), ios, duration.Seconds())
 
 	pids := make([]trace.PID, 0, len(procs))
 	for pid := range procs {
@@ -186,7 +175,7 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 
 	if head > 0 {
 		fmt.Println("\nfirst events:")
-		for _, e := range headBuf {
+		for _, e := range events[:min(head, len(events))] {
 			fmt.Println(" ", e.String())
 		}
 	}
@@ -196,15 +185,6 @@ func inspect(src trace.Source, app string, exec int, head int, breakeven float64
 // leading magic bytes when the format is auto. v2 files honor the
 // worker count and push the predicate down to the block index.
 func open(f *os.File, format string, workers int, pred trace.Predicate) (trace.Source, error) {
-	if format == "auto" {
-		sniffed, err := sniffV2(f)
-		if err != nil {
-			return nil, err
-		}
-		if sniffed {
-			format = "v2"
-		}
-	}
 	switch format {
 	case "binary":
 		return trace.NewDecoder(f), nil
@@ -220,24 +200,10 @@ func open(f *os.File, format string, workers int, pred trace.Predicate) (trace.S
 	case "text":
 		return trace.NewTextDecoder(f), nil
 	case "auto":
-		return trace.NewSniffedSource(f)
+		return trace.NewSniffedSource(f, trace.OpenOptions{Workers: workers, Pred: pred})
 	default:
 		return nil, cliutil.UnknownFormatError(format, cliutil.TraceFormatsAuto)
 	}
-}
-
-// sniffV2 reports whether f starts with the v2 columnar magic, leaving
-// the file rewound.
-func sniffV2(f *os.File) (bool, error) {
-	var magic [4]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return n == len(magic) && string(magic[:]) == "PCT2", nil
 }
 
 // inspectIndex prints the index footer after verifying it: ReadIndex
@@ -286,16 +252,16 @@ func inspectIndex(f *os.File) error {
 	return nil
 }
 
-// inspectBlocks walks a v2 columnar file frame by frame and reports the
+// inspectBlocks walks a v2 columnar file block by block and reports the
 // container-level shape of each execution: per-block event counts and
 // encoded bytes per event, then per-column encoded sizes against the raw
-// struct-of-arrays sizes they decode into.
+// fixed-width sizes they decode into.
 func inspectBlocks(f *os.File) error {
-	src := trace.NewFrameSource(f)
-	d := src.Decoder()
+	d := trace.NewBlockDecoder(f)
+	var buf []trace.Event
 	execs := 0
 	for {
-		app, exec, ok := src.NextExec()
+		app, exec, ok := d.NextExec()
 		if !ok {
 			break
 		}
@@ -313,8 +279,7 @@ func inspectBlocks(f *os.File) error {
 			colRaw     [trace.NumColumns]int
 		)
 		for {
-			frame, ok := src.NextFrame()
-			if !ok {
+			if buf, ok = d.AppendBlock(buf[:0]); !ok {
 				break
 			}
 			st := d.BlockStats()
@@ -323,14 +288,14 @@ func inspectBlocks(f *os.File) error {
 				st.Index, st.Events, st.IOs, st.Forks, total,
 				float64(total)/float64(st.Events))
 			blocks++
-			events += frame.Len()
+			events += len(buf)
 			encoded += total
 			for i := 0; i < trace.NumColumns; i++ {
 				colEncoded[i] += st.ColBytes[i]
 				colRaw[i] += st.RawColBytes(i)
 			}
 		}
-		if err := src.Err(); err != nil {
+		if err := d.Err(); err != nil {
 			return err
 		}
 		if blocks == 0 {
@@ -347,7 +312,7 @@ func inspectBlocks(f *os.File) error {
 				colEncoded[i], colRaw[i], 100*float64(colEncoded[i])/float64(colRaw[i]))
 		}
 	}
-	if err := src.Err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if execs == 0 {

@@ -37,7 +37,7 @@ func putMixBuf(buf []trace.Event) {
 // application executions drawn per execution from the fleet's app mix,
 // generated on demand into a single recycled buffer. It is the fleet
 // analogue of workload.Stream — same pooled-buffer ownership, same
-// ExecSlicer lending contract — with two differences: the application is
+// trace.Source lending contract — with two differences: the application is
 // re-drawn each execution from the machine's deterministic pick stream,
 // and the session is bounded by virtual time (Config.Session) or an
 // execution count (Config.Executions) instead of an app's recorded
@@ -58,7 +58,7 @@ type mixSource struct {
 	emitted int           // executions started
 	elapsed trace.Time    // session clock: sum of finished execution durations
 	cur     []trace.Event // current execution's events (recycled buffer)
-	pos     int           // next event within cur
+	lent    bool          // cur was handed out by ExecEvents
 }
 
 // newMixSource builds machine id's session source. The rng draw order is
@@ -101,7 +101,7 @@ func (s *mixSource) NextExec() (string, int, bool) {
 			putMixBuf(s.cur)
 			s.cur = nil
 		}
-		s.pos = 0
+		s.lent = false
 		return "", 0, false
 	}
 	if s.emitted == 0 && s.cur == nil {
@@ -112,27 +112,19 @@ func (s *mixSource) NextExec() (string, int, bool) {
 	s.execIdx[app]++
 	s.emitted++
 	s.cur = s.f.apps[app].appendEvents(s.cur, s.seed, exec)
-	s.pos = 0
+	s.lent = false
 	return s.f.apps[app].name, exec, true
 }
 
-// Next implements trace.Source.
-func (s *mixSource) Next() (trace.Event, bool) {
-	if s.pos >= len(s.cur) {
-		return trace.Event{}, false
-	}
-	e := s.cur[s.pos]
-	s.pos++
-	return e, true
-}
-
-// ExecEvents implements trace.ExecSlicer: the current execution is already
+// ExecEvents implements trace.Source: the current execution is already
 // materialized in the recycled buffer, so the simulator borrows it instead
 // of re-buffering. The slice is invalidated by the next NextExec.
 func (s *mixSource) ExecEvents() []trace.Event {
-	events := s.cur[s.pos:]
-	s.pos = len(s.cur)
-	return events
+	if s.lent {
+		return nil
+	}
+	s.lent = true
+	return s.cur
 }
 
 // Err implements trace.Source; generation cannot fail.
@@ -151,6 +143,6 @@ func (s *mixSource) Reset() error {
 	s.emitted = 0
 	s.elapsed = 0
 	s.cur = s.cur[:0]
-	s.pos = 0
+	s.lent = false
 	return nil
 }

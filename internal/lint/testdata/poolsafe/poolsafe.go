@@ -124,11 +124,10 @@ func Suppressed() {
 	stash(b)
 }
 
-// GotoLeak is the seeded leak-on-error-path the structural v1 scan
-// provably missed: the goto jumps over the Put straight to the error
-// return, and v1's statement-order walk drops goto paths instead of
-// following them. The CFG dataflow follows the jump;
-// poolsafe_v1_test.go pins that v1 stays silent here while v2 reports.
+// GotoLeak is a seeded leak-on-error-path that only a walk following
+// jumps can see: the goto skips the Put straight to the error return. A
+// statement-order walk that stops at the goto misses it; the CFG
+// dataflow follows the jump and reports it.
 func GotoLeak(fail bool) error {
 	b := pool.Get().(*buf)
 	if fail {
@@ -158,8 +157,8 @@ loop:
 }
 
 // PutInEveryCase is a true negative for the dataflow: every switch case
-// puts the value back before the shared return. PR 5's structural scan
-// could not credit a Put inside a case body.
+// puts the value back before the shared return, so a scan that cannot
+// credit a Put inside a case body would report it falsely.
 func PutInEveryCase(mode int) error {
 	b := pool.Get().(*buf)
 	switch mode {

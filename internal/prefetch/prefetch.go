@@ -243,8 +243,9 @@ func Evaluate(traces []*trace.Trace, capBlocks int, p Prefetcher) (Result, error
 	return EvaluateSource(trace.NewSliceSource(traces...), capBlocks, p)
 }
 
-// EvaluateSource is Evaluate over a streaming trace source: events are
-// scored as they are pulled, so memory stays constant in workload length.
+// EvaluateSource is Evaluate over a streaming trace source: executions are
+// scored one at a time from the source's lent slice, so memory is one
+// execution whatever the workload's length.
 // The prefetcher's learned state persists across executions (as with
 // Evaluate); the block cache starts cold for each one.
 func EvaluateSource(src trace.Source, capBlocks int, p Prefetcher) (Result, error) {
@@ -257,11 +258,7 @@ func EvaluateSource(src trace.Source, capBlocks int, p Prefetcher) (Result, erro
 			break
 		}
 		cache := newBlockCache(capBlocks)
-		for {
-			e, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, e := range src.ExecEvents() {
 			if e.Kind != trace.KindIO || e.Access != trace.AccessRead && e.Access != trace.AccessOpen {
 				continue
 			}

@@ -463,11 +463,12 @@ func (s *Server) runFleet(ctx context.Context, job *Job, jc *jobContext) (string
 
 // meter wraps a trace source with the server's two cross-cutting
 // concerns — cancellation and accounting — without touching the event
-// stream itself: every event passes through unmodified, so a metered
-// replay is result-identical to a bare one. Cancellation is checked at
-// execution boundaries (thousands of events apart), and counts flow into
-// the coalescing stats shard and the job's progress counters in
-// per-execution batches, so neither concern adds per-event overhead.
+// stream itself: it lends the inner source's slices as they are, so a
+// metered replay is result-identical to a bare one and copies nothing.
+// Cancellation is checked at execution boundaries (thousands of events
+// apart), and counts flow into the coalescing stats shard and the job's
+// progress counters in per-execution batches, so neither concern adds
+// per-event overhead.
 //
 // The counters measure simulated work: every policy of the job simulates
 // each event and execution, so the meter multiplies what it sees in the
@@ -514,33 +515,10 @@ func (m *meter) NextExec() (string, int, bool) {
 	return app, exec, ok
 }
 
-func (m *meter) Next() (trace.Event, bool) {
-	e, ok := m.src.Next()
-	if ok {
-		m.execEvents++
-	}
-	return e, ok
-}
-
-// AppendExec implements trace.ExecAppender so metering does not demote
-// the inner source's batch decode path (mirrors trace.LimitExecs).
-func (m *meter) AppendExec(buf []trace.Event) []trace.Event {
-	n := len(buf)
-	if es, ok := m.src.(trace.ExecSlicer); ok {
-		buf = append(buf, es.ExecEvents()...)
-	} else if ea, ok := m.src.(trace.ExecAppender); ok {
-		buf = ea.AppendExec(buf)
-	} else {
-		for {
-			e, ok := m.src.Next()
-			if !ok {
-				break
-			}
-			buf = append(buf, e)
-		}
-	}
-	m.execEvents += int64(len(buf) - n)
-	return buf
+func (m *meter) ExecEvents() []trace.Event {
+	events := m.src.ExecEvents()
+	m.execEvents += int64(len(events))
+	return events
 }
 
 func (m *meter) Err() error {

@@ -17,6 +17,7 @@ import (
 
 	"pcapsim/internal/experiments"
 	"pcapsim/internal/fleet"
+	"pcapsim/internal/server/stats"
 	"pcapsim/internal/sim"
 	"pcapsim/internal/trace"
 	"pcapsim/internal/workload"
@@ -647,5 +648,31 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if sv.Workers != 3 || sv.JobsDone != 1 || sv.Events == 0 {
 		t.Errorf("stats view: %+v", sv)
+	}
+}
+
+// TestMeterLendsInnerSlice pins that metering copies nothing: the meter
+// lends the inner source's execution slice itself and counts its events
+// once per policy of the job.
+func TestMeterLendsInnerSlice(t *testing.T) {
+	tr := &trace.Trace{App: "a", Events: []trace.Event{
+		{Time: 1, Pid: 1, Kind: trace.KindIO, Access: trace.AccessRead, PC: 1, Size: 1},
+		{Time: 2, Pid: 1, Kind: trace.KindExit},
+	}}
+	var counters stats.Counters
+	local := stats.NewLocal(&counters, stats.Options{})
+	job := newJob("meter", &JobSpec{})
+	m := newMeter(context.Background(), trace.NewSliceSource(tr), local, job, 3)
+	if _, _, ok := m.NextExec(); !ok {
+		t.Fatal("NextExec failed")
+	}
+	if events := m.ExecEvents(); len(events) == 0 || &events[0] != &tr.Events[0] {
+		t.Error("meter does not lend the inner slice")
+	}
+	if _, _, ok := m.NextExec(); ok {
+		t.Fatal("NextExec past the only execution succeeded")
+	}
+	if got, want := job.events.Load(), int64(3*len(tr.Events)); got != want {
+		t.Errorf("job events = %d, want %d", got, want)
 	}
 }

@@ -12,11 +12,11 @@ import (
 // through.
 //
 // A run splits into a policy-independent half and a per-policy half. The
-// pass (one per run) pulls each execution from the source, drains it,
-// filters it through the file cache and prepares it — exactly once, into a
-// pooled runState. A machine (one per policy) is a simulated user
-// machine: a policy, its predictor state, its policyState working set,
-// and a cursor into the pass's executions. After prepare an execution is
+// pass (one per run) pulls each execution from the source, borrows its
+// events, filters them through the file cache and prepares the result —
+// exactly once, into a pooled runState. A machine (one per policy) is a
+// simulated user machine: a policy, its predictor state, its policyState
+// working set, and a cursor into the pass's executions. After prepare an execution is
 // read-only, so any number of machines can adopt the same one in turn.
 //
 // RunSources drives several machines over one pass in execution-major
@@ -52,27 +52,23 @@ import (
 // source that prepares each execution once for every machine stepping
 // through it. It owns a pooled runState from openPass until close.
 type pass struct {
-	r       *Runner
-	src     trace.Source
-	rs      *runState
-	borrows bool
-	ex      *execution // the most recently prepared execution
-	err     error      // first prepare error
-	done    bool       // source exhausted or failed; no further pulls
+	r    *Runner
+	src  trace.Source
+	rs   *runState
+	ex   *execution // the most recently prepared execution
+	err  error      // first prepare error
+	done bool       // source exhausted or failed; no further pulls
 }
 
 // openPass starts a pass over src with working sets for n policies.
 func (r *Runner) openPass(p *pass, src trace.Source, n int) {
-	// Sources that expose their current execution as a slice (ExecSlicer)
-	// lend that slice out only until their next NextExec; it must not be
-	// adopted as the reusable drain buffer, or a pooled runState could
-	// later scribble over a buffer the source has recycled elsewhere.
-	_, borrows := src.(trace.ExecSlicer)
-	*p = pass{r: r, src: src, rs: r.getState(n), borrows: borrows}
+	*p = pass{r: r, src: src, rs: r.getState(n)}
 }
 
-// pull advances the source to its next execution, drains it, prepares
-// it through the file cache and schedules its service into p.ex. It returns false when the source
+// pull advances the source to its next execution, borrows its events,
+// prepares them through the file cache and schedules their service into
+// p.ex. The borrowed slice stays the source's: prepare only reads it, and
+// nothing keeps it past the next pull. It returns false when the source
 // is exhausted or an error occurred (see failure).
 func (p *pass) pull() bool {
 	if p.done {
@@ -84,11 +80,7 @@ func (p *pass) pull() bool {
 		return false
 	}
 	rs := p.rs
-	events := trace.Drain(p.src, rs.buf)
-	if !p.borrows {
-		rs.buf = events
-	}
-	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, events
+	rs.view.App, rs.view.Execution, rs.view.Events = app, exec, p.src.ExecEvents()
 	ex, err := rs.prepare(&rs.view, p.r.cfg.Cache)
 	if err != nil {
 		p.err, p.done = err, true

@@ -60,20 +60,19 @@ type execution struct {
 }
 
 // runState is the pooled scratch space of one pass over a source: the
-// drain buffer, the file cache (arena reset, not reallocated, between
-// executions), the filtered-event buffer, the prepared execution with all
-// of its slices and maps and the procInfo free list — all of which exist
-// once per pass, however many policies step through it — plus one
-// policyState per policy.
+// file cache (arena reset, not reallocated, between executions), the
+// filtered-event buffer, the prepared execution with all of its slices
+// and maps and the procInfo free list — all of which exist once per pass,
+// however many policies step through it — plus one policyState per
+// policy. The source's events themselves are only borrowed (view).
 //
 // Ownership discipline: a runState is owned by exactly one pass at a time
 // (Runner keeps a sync.Pool of them), and everything inside it is
 // overwritten at the next execution's prepare — so nothing reachable from
 // a runState may be retained across executions, matching the
-// trace.Source borrowing contract for drained event slices.
+// trace.Source lending contract for event slices.
 type runState struct {
-	buf      []trace.Event // drain buffer for purely streaming sources
-	view     trace.Trace   // reused Trace header over the drained events
+	view     trace.Trace // reused Trace header over the borrowed events
 	cache    *fscache.Cache
 	filtered []trace.Event
 	ex       execution
@@ -111,8 +110,8 @@ func (r *Runner) getState(n int) *runState {
 // putState returns a runState to the pool for the next pass.
 func (r *Runner) putState(rs *runState) {
 	// Drop predictor references so pooled states do not pin a finished
-	// run's learned state, and let go of the last drained event slice (it
-	// may be on loan from the source); the containers themselves are kept.
+	// run's learned state, and let go of the last borrowed event slice (it
+	// belongs to the source); the containers themselves are kept.
 	for i := range rs.pols {
 		clear(rs.pols[i].preds)
 		clear(rs.pols[i].dec)

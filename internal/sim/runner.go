@@ -203,10 +203,9 @@ func (r *Runner) RunApp(traces []*trace.Trace, pol Policy) (*AppResult, error) {
 
 // RunSource simulates every execution yielded by src under the given
 // policy and returns the aggregated result. It is the one-policy case of
-// RunSources. Executions are consumed one at a time: peak memory is one
-// execution's events (and zero extra for sources that already hold them,
-// via trace.ExecSlicer), independent of how many executions the source
-// yields. The source must yield at least one execution; all executions
+// RunSources. Executions are consumed one at a time: peak memory is the
+// one execution the source lends (trace.Source.ExecEvents), independent
+// of how many executions the source yields. The source must yield at least one execution; all executions
 // are expected to belong to one application (the result is labelled with
 // the first one's name).
 //
@@ -220,7 +219,7 @@ func (r *Runner) RunSource(src trace.Source, pol Policy) (*AppResult, error) {
 
 // RunSources simulates every execution yielded by src under each of the
 // given policies in a single pass over the source, returning one result
-// per policy, in order. Each execution is pulled, drained, filtered
+// per policy, in order. Each execution is pulled, borrowed, filtered
 // through the file cache and prepared once; every policy then steps
 // through that same read-only execution before the next one is pulled.
 // Each result is identical to a separate RunSource call over the same

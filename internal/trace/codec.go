@@ -127,8 +127,9 @@ func WriteBinary(w io.Writer, t *Trace) error {
 
 // Decoder is a streaming reader of the binary trace format: a Source over
 // one or more consecutive binary traces (executions) on r, decoding one
-// event per Next call so multi-gigabyte files replay in constant memory.
-// Reset rewinds when r is an io.Seeker.
+// execution at a time into a buffer it reuses, so multi-gigabyte files
+// replay in the memory of their largest execution. Reset rewinds when r
+// is an io.Seeker.
 type Decoder struct {
 	r     io.Reader
 	seek  io.Seeker
@@ -142,6 +143,7 @@ type Decoder struct {
 	read   uint64 // events decoded from the current execution
 	inExec bool
 	prev   Time
+	buf    []Event // the current execution's events, lent by ExecEvents
 }
 
 // NewDecoder returns a streaming decoder over r. If r is also an
@@ -151,19 +153,15 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: r, seek: seek, br: bufio.NewReader(r)}
 }
 
-// Count returns the number of events the current execution's header
-// declared — the streaming counterpart of len(t.Events).
-func (d *Decoder) Count() uint64 { return d.count }
-
 // NextExec implements Source: it reads the next execution's header,
-// draining any undecoded events of the current one first. ok=false with a
+// decoding any events of the current one not yet lent first. ok=false with a
 // nil Err means the stream ended cleanly at an execution boundary.
 func (d *Decoder) NextExec() (string, int, bool) {
 	if d.err != nil || d.ended {
 		return "", 0, false
 	}
-	for d.inExec { // discard the rest of the current execution
-		if _, ok := d.Next(); !ok {
+	for d.inExec { // decode (and so validate) the rest of the current execution
+		if _, ok := d.next(); !ok {
 			if d.err != nil {
 				return "", 0, false
 			}
@@ -224,9 +222,21 @@ func (d *Decoder) NextExec() (string, int, bool) {
 	return d.app, d.exec, true
 }
 
-// Next implements Source: it decodes the next event of the current
-// execution.
-func (d *Decoder) Next() (Event, bool) {
+// ExecEvents implements Source: it decodes the rest of the current
+// execution into the decoder's buffer.
+func (d *Decoder) ExecEvents() []Event {
+	d.buf = d.buf[:0]
+	for {
+		e, ok := d.next()
+		if !ok {
+			return d.buf
+		}
+		d.buf = append(d.buf, e)
+	}
+}
+
+// next decodes the next event of the current execution.
+func (d *Decoder) next() (Event, bool) {
 	if d.err != nil || !d.inExec {
 		return Event{}, false
 	}
@@ -325,17 +335,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadFormat, io.EOF)
 	}
-	t := &Trace{App: app, Execution: exec}
-	if count := d.Count(); count < 1<<20 {
-		t.Events = make([]Event, 0, count)
-	}
-	for {
-		e, ok := d.Next()
-		if !ok {
-			break
-		}
-		t.Events = append(t.Events, e)
-	}
+	// d is discarded here, so its buffer is never reused: the trace can
+	// keep the lent slice.
+	t := &Trace{App: app, Execution: exec, Events: d.ExecEvents()}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -482,10 +484,10 @@ func parseTextEvent(text string) (Event, error) {
 }
 
 // TextDecoder is a streaming reader of the text trace format: a Source
-// over one or more concatenated text traces, one line per event, in
-// constant memory. An "# app <name> exec <n>" header starts a new
-// execution; events before any header belong to an unnamed execution 0.
-// Reset rewinds when r is an io.Seeker.
+// over one or more concatenated text traces, one line per event, parsed
+// one execution at a time into a buffer it reuses. An "# app <name> exec
+// <n>" header starts a new execution; events before any header belong to
+// an unnamed execution 0. Reset rewinds when r is an io.Seeker.
 type TextDecoder struct {
 	r    io.Reader
 	seek io.Seeker
@@ -499,6 +501,7 @@ type TextDecoder struct {
 	pending        Event // parsed but undelivered event
 	havePending    bool
 	inExec         bool
+	buf            []Event // the current execution's events, lent by ExecEvents
 }
 
 // NewTextDecoder returns a streaming decoder over the text format.
@@ -556,8 +559,8 @@ func (d *TextDecoder) NextExec() (string, int, bool) {
 	if d.err != nil {
 		return "", 0, false
 	}
-	for d.inExec { // discard the rest of the current execution
-		if _, ok := d.Next(); !ok && d.err != nil {
+	for d.inExec { // parse (and so validate) the rest of the current execution
+		if _, ok := d.next(); !ok && d.err != nil {
 			return "", 0, false
 		}
 	}
@@ -582,8 +585,21 @@ func (d *TextDecoder) NextExec() (string, int, bool) {
 	}
 }
 
-// Next implements Source.
-func (d *TextDecoder) Next() (Event, bool) {
+// ExecEvents implements Source: it parses the rest of the current
+// execution into the decoder's buffer.
+func (d *TextDecoder) ExecEvents() []Event {
+	d.buf = d.buf[:0]
+	for {
+		e, ok := d.next()
+		if !ok {
+			return d.buf
+		}
+		d.buf = append(d.buf, e)
+	}
+}
+
+// next parses the next event of the current execution.
+func (d *TextDecoder) next() (Event, bool) {
 	if d.err != nil || !d.inExec {
 		return Event{}, false
 	}

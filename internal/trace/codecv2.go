@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Columnar trace container ("tracev2")
@@ -436,126 +435,6 @@ func WriteColumnar(w io.Writer, t *Trace) error {
 	return enc.Close()
 }
 
-// Frame is one decoded block as struct-of-arrays columns, the batch
-// counterpart of a []Event run. All columns have one entry per event
-// (Len() entries); fields that do not apply to an event's kind are zero,
-// so Event(i) reassembles the exact original record.
-//
-// Ownership: frames returned by BlockDecoder.NextFrame are owned by the
-// decoder and recycled — a frame is valid only until the next NextFrame,
-// NextExec or Reset call on its decoder. Batch consumers must process (or
-// copy) a frame before pulling the next one.
-type Frame struct {
-	Times    []Time
-	Pids     []PID
-	Kinds    []Kind
-	Accesses []Access
-	PCs      []PC
-	FDs      []FD
-	Blocks   []int64
-	Sizes    []int32
-	Children []PID
-}
-
-// Len returns the number of events in the frame.
-func (f *Frame) Len() int { return len(f.Times) }
-
-// Event reassembles event i of the frame.
-func (f *Frame) Event(i int) Event {
-	return Event{
-		Time:   f.Times[i],
-		Pid:    f.Pids[i],
-		Kind:   f.Kinds[i],
-		Access: f.Accesses[i],
-		PC:     f.PCs[i],
-		FD:     f.FDs[i],
-		Block:  f.Blocks[i],
-		Size:   f.Sizes[i],
-		Child:  f.Children[i],
-	}
-}
-
-// AppendTo appends events from..Len() of the frame to dst in one batched
-// assembly pass — the hot path for draining a whole execution without a
-// per-event interface call. The destination is grown once up front so the
-// scatter loop runs without per-event capacity checks.
-func (f *Frame) AppendTo(dst []Event, from int) []Event {
-	n := len(f.Times)
-	if from >= n {
-		return dst
-	}
-	base := len(dst)
-	need := base + n - from
-	if cap(dst) < need {
-		grown := make([]Event, base, need+need/4)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	out := dst[base:]
-	times := f.Times[from:n]
-	pids := f.Pids[from:n]
-	kinds := f.Kinds[from:n]
-	accs := f.Accesses[from:n]
-	pcs := f.PCs[from:n]
-	fds := f.FDs[from:n]
-	blocks := f.Blocks[from:n]
-	sizes := f.Sizes[from:n]
-	children := f.Children[from:n]
-	for i := range out {
-		out[i] = Event{
-			Time:   times[i],
-			Pid:    pids[i],
-			Kind:   kinds[i],
-			Access: accs[i],
-			PC:     pcs[i],
-			FD:     fds[i],
-			Block:  blocks[i],
-			Size:   sizes[i],
-			Child:  children[i],
-		}
-	}
-	return dst
-}
-
-// resize sets every column to length n, growing capacity as needed.
-func (f *Frame) resize(n int) {
-	f.Times = growSlice(f.Times, n)
-	f.Pids = growSlice(f.Pids, n)
-	f.Kinds = growSlice(f.Kinds, n)
-	f.Accesses = growSlice(f.Accesses, n)
-	f.PCs = growSlice(f.PCs, n)
-	f.FDs = growSlice(f.FDs, n)
-	f.Blocks = growSlice(f.Blocks, n)
-	f.Sizes = growSlice(f.Sizes, n)
-	f.Children = growSlice(f.Children, n)
-}
-
-// growSlice returns s with length n, reusing capacity when possible.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-// framePool recycles decoded frames (and their column capacity) across
-// BlockDecoders: a decoder draws one frame at its first NextFrame and
-// returns it when its stream ends cleanly, so steady-state decoding
-// allocates nothing.
-var framePool sync.Pool
-
-// getFrame fetches a recycled frame. The caller takes ownership and must
-// return it with framePool.Put when its stream ends.
-//
-//pcaplint:owner-transfer
-func getFrame() *Frame {
-	if f, ok := framePool.Get().(*Frame); ok {
-		return f
-	}
-	return &Frame{}
-}
-
 // BlockStats describes the last block a BlockDecoder decoded — the raw
 // material for traceinspect's per-block report.
 type BlockStats struct {
@@ -570,8 +449,9 @@ type BlockStats struct {
 	ColBytes [NumColumns]int
 }
 
-// RawColBytes returns the in-memory (decoded struct-of-arrays) size of
-// column i, the denominator of a column's compression ratio.
+// RawColBytes returns the raw fixed-width size of column i's values (8
+// bytes per time, 4 per pid, ...), the denominator of a column's
+// compression ratio.
 func (bs BlockStats) RawColBytes(i int) int {
 	switch i {
 	case colTime:
@@ -596,11 +476,10 @@ func (bs BlockStats) RawColBytes(i int) int {
 	return 0
 }
 
-// BlockDecoder is a streaming reader of the columnar v2 format. It
-// decodes one whole block at a time into a reusable Frame: NextExec /
-// NextFrame / Err / Reset mirror the Source protocol at block
-// granularity, for batch-aware consumers; BlockSource adapts it to the
-// per-event Source contract.
+// BlockDecoder is a streaming reader of the columnar v2 format. NextExec
+// reads execution headers and AppendBlock decodes the current
+// execution's blocks one at a time, for block-aware consumers
+// (traceinspect -blocks); BlockSource adapts it to the Source contract.
 type BlockDecoder struct {
 	r     io.Reader
 	seek  io.Seeker
@@ -619,7 +498,7 @@ type BlockDecoder struct {
 	hdr     []byte  // scratch: CRC-covered header bytes of the record being read
 	payload []byte  // scratch: current block's column payload
 	scratch [8]byte // fixed-width read scratch (kept on the decoder so it never escapes)
-	frame   *Frame
+	skip    []Event // scratch: one skipped block's events, decoded to validate them
 	stats   BlockStats
 	pidDict []PID
 
@@ -665,15 +544,6 @@ func (d *BlockDecoder) Count() uint64 { return d.count }
 
 // BlockStats returns statistics of the most recently decoded block.
 func (d *BlockDecoder) BlockStats() BlockStats { return d.stats }
-
-// end marks a clean end of stream, returning the pooled frame.
-func (d *BlockDecoder) end() {
-	d.ended = true
-	if d.frame != nil {
-		framePool.Put(d.frame)
-		d.frame = nil
-	}
-}
 
 // seekTo repositions the underlying reader at an absolute file offset,
 // discarding buffered read-ahead.
@@ -756,7 +626,7 @@ func (d *BlockDecoder) NextExec() (string, int, bool) {
 		// Pushdown: seek straight to the next execution's header instead
 		// of decoding through the rest of the current one.
 		if d.planPos >= len(d.plan) {
-			d.end()
+			d.ended = true
 			return "", 0, false
 		}
 		pe := d.plan[d.planPos]
@@ -768,18 +638,17 @@ func (d *BlockDecoder) NextExec() (string, int, bool) {
 			return "", 0, false
 		}
 	}
-	for d.inExec { // discard the rest of the current execution
-		if _, ok := d.NextFrame(); !ok {
-			if d.err != nil {
-				return "", 0, false
-			}
+	for d.inExec { // decode (and so validate) the rest of the current execution
+		var ok bool
+		if d.skip, ok = d.AppendBlock(d.skip[:0]); !ok && d.err != nil {
+			return "", 0, false
 		}
 	}
 	magic := d.scratch[:4]
 	for {
 		if _, err := io.ReadFull(d.br, magic); err != nil {
 			if err == io.EOF {
-				d.end() // clean boundary: no more executions
+				d.ended = true // clean boundary: no more executions
 			} else {
 				d.fail("%v", err)
 			}
@@ -869,27 +738,8 @@ func (d *BlockDecoder) NextExec() (string, int, bool) {
 	return d.app, d.exec, true
 }
 
-// NextFrame decodes the next block of the current execution into the
-// decoder's reusable frame. ok=false means the execution's blocks are
-// exhausted or the decoder failed (see Err). The returned frame is valid
-// until the next NextFrame, NextExec or Reset call.
-func (d *BlockDecoder) NextFrame() (*Frame, bool) {
-	var h blockHeader
-	if !d.readBlock(&h) {
-		return nil, false
-	}
-	if d.frame == nil {
-		d.frame = getFrame()
-	}
-	if !d.decodeBlock(h.events, h.ios, h.forks, h.base, h.colLen) {
-		return nil, false
-	}
-	d.finishBlock(&h)
-	return d.frame, true
-}
-
-// blockHeader carries one block's validated header between readBlock and
-// the two decode paths (SoA frame, direct events).
+// blockHeader carries one block's validated header between readBlockRaw
+// and the column decode (decodeBlockInto).
 type blockHeader struct {
 	events, ios, forks int
 	base               Time
@@ -982,7 +832,10 @@ func (d *BlockDecoder) readBlockRaw(h *blockHeader) bool {
 		return false
 	}
 	h.storedCRC = binary.LittleEndian.Uint32(d.scratch[4:8])
-	d.payload = growSlice(d.payload, total)
+	if cap(d.payload) < total {
+		d.payload = make([]byte, total)
+	}
+	d.payload = d.payload[:total]
 	if _, err := io.ReadFull(d.br, d.payload); err != nil {
 		d.failBlock("%v", err)
 		return false
@@ -1023,11 +876,11 @@ func (d *BlockDecoder) finishBlock(h *blockHeader) {
 	}
 }
 
-// appendBlock decodes the next block of the current execution directly
-// into dst (the fused drain path: every event byte is written exactly
-// once, skipping the intermediate SoA frame). It returns the extended
-// slice; ok=false means end of execution or error.
-func (d *BlockDecoder) appendBlock(dst []Event) ([]Event, bool) {
+// AppendBlock decodes the next block of the current execution, appending
+// its events to dst, and returns the extended slice; BlockStats then
+// describes the block. ok=false means the execution's blocks are
+// exhausted or the decoder failed (see Err); dst comes back unextended.
+func (d *BlockDecoder) AppendBlock(dst []Event) ([]Event, bool) {
 	var h blockHeader
 	if !d.readBlock(&h) {
 		return dst, false
@@ -1088,232 +941,10 @@ func varintAt(b []byte, p int) (int64, int) {
 	return v, p + m
 }
 
-// decodeBlock parses the payload's columns into the frame.
-func (d *BlockDecoder) decodeBlock(n, nIO, nFork int, base Time, colLen [NumColumns]int) bool {
-	f := d.frame
-	f.resize(n)
-	var cols [NumColumns][]byte
-	off := 0
-	for i, l := range colLen {
-		cols[i] = d.payload[off : off+l]
-		off += l
-	}
-
-	// time: delta chain from base.
-	col, p := cols[colTime], 0
-	prev := base
-	for i := 0; i < n; i++ {
-		v, np := uvarintAt(col, p)
-		if np < 0 {
-			d.failBlock("time column truncated at event %d", i)
-			return false
-		}
-		p = np
-		prev += Time(v)
-		f.Times[i] = prev
-	}
-	if p != len(col) {
-		d.failBlock("time column has %d trailing bytes", len(col)-p)
-		return false
-	}
-
-	// pid: dictionary + RLE.
-	col, p = cols[colPid], 0
-	dictLen, m := binary.Uvarint(col)
-	if m <= 0 || dictLen > uint64(n) {
-		d.failBlock("bad pid dictionary length")
-		return false
-	}
-	p += m
-	dict := growSlice(d.pidDict, int(dictLen))
-	d.pidDict = dict
-	for i := range dict {
-		v, np := varintAt(col, p)
-		if np < 0 {
-			d.failBlock("pid dictionary truncated at entry %d", i)
-			return false
-		}
-		p = np
-		dict[i] = PID(v)
-	}
-	for i := 0; i < n; {
-		idx, np := uvarintAt(col, p)
-		if np < 0 || idx >= uint64(len(dict)) {
-			d.failBlock("bad pid run at event %d", i)
-			return false
-		}
-		p = np
-		run, np := uvarintAt(col, p)
-		if np < 0 || run == 0 || run > uint64(n-i) {
-			d.failBlock("bad pid run length at event %d", i)
-			return false
-		}
-		p = np
-		pid := dict[idx]
-		for j := 0; j < int(run); j++ {
-			f.Pids[i] = pid
-			i++
-		}
-	}
-	if p != len(col) {
-		d.failBlock("pid column has %d trailing bytes", len(col)-p)
-		return false
-	}
-
-	// kind: RLE; recount the populations against the header.
-	col, p = cols[colKind], 0
-	gotIO, gotFork := 0, 0
-	for i := 0; i < n; {
-		if p >= len(col) {
-			d.failBlock("kind column truncated at event %d", i)
-			return false
-		}
-		k := Kind(col[p])
-		p++
-		if k > KindExit {
-			d.failBlock("unknown kind %d at event %d", k, i)
-			return false
-		}
-		run, np := uvarintAt(col, p)
-		if np < 0 || run == 0 || run > uint64(n-i) {
-			d.failBlock("bad kind run length at event %d", i)
-			return false
-		}
-		p = np
-		switch k {
-		case KindIO:
-			gotIO += int(run)
-		case KindFork:
-			gotFork += int(run)
-		}
-		for j := 0; j < int(run); j++ {
-			f.Kinds[i] = k
-			i++
-		}
-	}
-	if p != len(col) {
-		d.failBlock("kind column has %d trailing bytes", len(col)-p)
-		return false
-	}
-	if gotIO != nIO || gotFork != nFork {
-		d.failBlock("kind column populations %d/%d disagree with header %d/%d",
-			gotIO, gotFork, nIO, nFork)
-		return false
-	}
-
-	// Scatter the I/O and fork columns across the frame in one pass,
-	// zeroing fields that do not apply to an event's kind (frames are
-	// recycled, so stale values must not leak through).
-	acc, ap := cols[colAccess], 0
-	pcc, pcp := cols[colPC], 0
-	fdc, fdp := cols[colFD], 0
-	blc, blp := cols[colBlock], 0
-	szc, szp := cols[colSize], 0
-	chc, chp := cols[colChild], 0
-	var curAcc Access
-	accRun := 0
-	var curSize int32
-	sizeRun := 0
-	var prevPC, prevFD, prevBlock int64
-	for i := 0; i < n; i++ {
-		switch f.Kinds[i] {
-		case KindIO:
-			if accRun == 0 {
-				if ap >= len(acc) {
-					d.failBlock("access column truncated at event %d", i)
-					return false
-				}
-				curAcc = Access(acc[ap])
-				ap++
-				if curAcc > AccessClose {
-					d.failBlock("unknown access %d at event %d", curAcc, i)
-					return false
-				}
-				run, np := uvarintAt(acc, ap)
-				if np < 0 || run == 0 || run > uint64(nIO) {
-					d.failBlock("bad access run length at event %d", i)
-					return false
-				}
-				ap = np
-				accRun = int(run)
-			}
-			accRun--
-			if sizeRun == 0 {
-				v, np := varintAt(szc, szp)
-				if np < 0 {
-					d.failBlock("size column truncated at event %d", i)
-					return false
-				}
-				szp = np
-				curSize = int32(v)
-				run, np := uvarintAt(szc, szp)
-				if np < 0 || run == 0 || run > uint64(nIO) {
-					d.failBlock("bad size run length at event %d", i)
-					return false
-				}
-				szp = np
-				sizeRun = int(run)
-			}
-			sizeRun--
-			dpc, np := varintAt(pcc, pcp)
-			if np < 0 {
-				d.failBlock("pc column truncated at event %d", i)
-				return false
-			}
-			pcp = np
-			prevPC += dpc
-			dfd, np := varintAt(fdc, fdp)
-			if np < 0 {
-				d.failBlock("fd column truncated at event %d", i)
-				return false
-			}
-			fdp = np
-			prevFD += dfd
-			dbl, np := varintAt(blc, blp)
-			if np < 0 {
-				d.failBlock("block column truncated at event %d", i)
-				return false
-			}
-			blp = np
-			prevBlock += dbl
-			f.Accesses[i] = curAcc
-			f.PCs[i] = PC(prevPC)
-			f.FDs[i] = FD(prevFD)
-			f.Blocks[i] = prevBlock
-			f.Sizes[i] = curSize
-			f.Children[i] = 0
-		case KindFork:
-			v, np := varintAt(chc, chp)
-			if np < 0 {
-				d.failBlock("child column truncated at event %d", i)
-				return false
-			}
-			chp = np
-			f.Accesses[i], f.PCs[i], f.FDs[i] = 0, 0, 0
-			f.Blocks[i], f.Sizes[i] = 0, 0
-			f.Children[i] = PID(v)
-		default:
-			f.Accesses[i], f.PCs[i], f.FDs[i] = 0, 0, 0
-			f.Blocks[i], f.Sizes[i] = 0, 0
-			f.Children[i] = 0
-		}
-	}
-	if accRun != 0 || sizeRun != 0 {
-		d.failBlock("access/size runs overrun the block's I/O count")
-		return false
-	}
-	if ap != len(acc) || pcp != len(pcc) || fdp != len(fdc) ||
-		blp != len(blc) || szp != len(szc) || chp != len(chc) {
-		d.failBlock("I/O columns have trailing bytes")
-		return false
-	}
-	return true
-}
-
 // decodeBlockInto parses the payload's columns straight into out (length
-// h.events), the allocation-free fast path behind ExecAppender. It
-// performs exactly the validation decodeBlock does — the two paths must
-// accept and reject the same inputs (covered by the codec fuzz harness).
+// h.events), validating every column against the header's counts. It is
+// the one column decoder: AppendBlock and the parallel pipeline's
+// workers both run it.
 func (d *BlockDecoder) decodeBlockInto(out []Event, h *blockHeader) bool {
 	n, nIO, nFork := h.events, h.ios, h.forks
 	var cols [NumColumns][]byte
@@ -1349,7 +980,10 @@ func (d *BlockDecoder) decodeBlockInto(out []Event, h *blockHeader) bool {
 		return false
 	}
 	p += m
-	dict := growSlice(d.pidDict, int(dictLen))
+	if cap(d.pidDict) < int(dictLen) {
+		d.pidDict = make([]PID, dictLen)
+	}
+	dict := d.pidDict[:dictLen]
 	d.pidDict = dict
 	for i := range dict {
 		v, np := varintAt(col, p)
@@ -1608,14 +1242,12 @@ func (d *BlockDecoder) Reset() error {
 	return nil
 }
 
-// BlockSource adapts a BlockDecoder to the per-event Source contract: it
-// decodes a whole block at a time into the decoder's reusable frame and
-// hands out events from the frame — the drop-in replacement for Decoder
-// over v2 files, with batched decode underneath.
+// BlockSource adapts a BlockDecoder to the Source contract: ExecEvents
+// decodes the current execution block by block into one buffer the
+// source owns and reuses, so a warm source decodes without allocating.
 type BlockSource struct {
 	d   *BlockDecoder
-	f   *Frame
-	pos int
+	buf []Event
 }
 
 // NewBlockSource returns a Source over the v2 columnar stream on r. If r
@@ -1624,100 +1256,25 @@ func NewBlockSource(r io.Reader) *BlockSource {
 	return &BlockSource{d: NewBlockDecoder(r)}
 }
 
-// Decoder exposes the underlying block decoder (for block-level stats).
-func (s *BlockSource) Decoder() *BlockDecoder { return s.d }
-
 // SetPredicate arms index-backed predicate pushdown on the underlying
 // decoder (see BlockDecoder.SetPredicate); it reports whether pushdown
 // is active. Must be called before the first NextExec.
 func (s *BlockSource) SetPredicate(p Predicate) bool { return s.d.SetPredicate(p) }
 
-// Count returns the number of events the current execution's header
-// declared.
-func (s *BlockSource) Count() uint64 { return s.d.Count() }
-
 // NextExec implements Source.
-func (s *BlockSource) NextExec() (string, int, bool) {
-	s.f, s.pos = nil, 0
-	return s.d.NextExec()
-}
+func (s *BlockSource) NextExec() (string, int, bool) { return s.d.NextExec() }
 
-// Next implements Source.
-func (s *BlockSource) Next() (Event, bool) {
-	for s.f == nil || s.pos >= s.f.Len() {
-		f, ok := s.d.NextFrame()
-		if !ok {
-			s.f = nil
-			return Event{}, false
-		}
-		s.f, s.pos = f, 0
+// ExecEvents implements Source.
+func (s *BlockSource) ExecEvents() []Event {
+	s.buf = s.buf[:0]
+	for ok := true; ok; {
+		s.buf, ok = s.d.AppendBlock(s.buf)
 	}
-	e := s.f.Event(s.pos)
-	s.pos++
-	return e, true
-}
-
-// AppendExec implements ExecAppender: it appends the remaining events of
-// the current execution to buf a whole block at a time, decoding straight
-// into the destination (no per-event Next call, no intermediate frame).
-// The returned slice is caller-owned.
-func (s *BlockSource) AppendExec(buf []Event) []Event {
-	if s.f != nil {
-		buf = s.f.AppendTo(buf, s.pos)
-		s.f, s.pos = nil, 0
-	}
-	for {
-		var ok bool
-		buf, ok = s.d.appendBlock(buf)
-		if !ok {
-			return buf
-		}
-	}
+	return s.buf
 }
 
 // Err implements Source.
 func (s *BlockSource) Err() error { return s.d.Err() }
 
 // Reset implements Source.
-func (s *BlockSource) Reset() error {
-	s.f, s.pos = nil, 0
-	return s.d.Reset()
-}
-
-// FrameSource is the batch-level counterpart of BlockSource: instead of
-// handing out one Event at a time it yields whole decoded frames, so
-// batch-aware consumers can process a column at a time. The returned
-// Frame (and its column slices) is only valid until the next NextFrame,
-// NextExec or Reset call — copy out anything that must outlive it.
-type FrameSource struct {
-	d *BlockDecoder
-}
-
-// NewFrameSource returns a FrameSource over the v2 columnar stream on r.
-// If r is also an io.Seeker, the source supports Reset.
-func NewFrameSource(r io.Reader) *FrameSource {
-	return &FrameSource{d: NewBlockDecoder(r)}
-}
-
-// Decoder exposes the underlying block decoder (for block-level stats).
-func (s *FrameSource) Decoder() *BlockDecoder { return s.d }
-
-// SetPredicate arms index-backed predicate pushdown on the underlying
-// decoder (see BlockDecoder.SetPredicate); it reports whether pushdown
-// is active. Must be called before the first NextExec.
-func (s *FrameSource) SetPredicate(p Predicate) bool { return s.d.SetPredicate(p) }
-
-// NextExec advances to the next execution, returning its app name and
-// execution number.
-func (s *FrameSource) NextExec() (string, int, bool) { return s.d.NextExec() }
-
-// NextFrame decodes and returns the next block of the current execution
-// as a reusable SoA frame. It returns false at the end of the execution
-// or on error (check Err).
-func (s *FrameSource) NextFrame() (*Frame, bool) { return s.d.NextFrame() }
-
-// Err reports the first error encountered.
-func (s *FrameSource) Err() error { return s.d.Err() }
-
-// Reset rewinds seekable inputs to the start of the stream.
-func (s *FrameSource) Reset() error { return s.d.Reset() }
+func (s *BlockSource) Reset() error { return s.d.Reset() }

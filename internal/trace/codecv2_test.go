@@ -82,8 +82,8 @@ func TestColumnarRoundTripEmpty(t *testing.T) {
 	if !ok || app != "empty" || exec != 0 {
 		t.Fatalf("NextExec = %q, %d, %v", app, exec, ok)
 	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("Next on empty execution returned an event")
+	if got := src.ExecEvents(); len(got) != 0 {
+		t.Fatalf("empty execution lent %d events", len(got))
 	}
 	if _, _, ok := src.NextExec(); ok {
 		t.Fatal("second NextExec succeeded")
@@ -234,8 +234,8 @@ func TestBlockEncoderSetBlockEventsAfterWrite(t *testing.T) {
 	}
 }
 
-// TestBlockDecoderFrames drives the frame-level interface directly and
-// checks the per-block stats.
+// TestBlockDecoderFrames drives the decoder one framed block record at
+// a time through AppendBlock and checks the per-block stats.
 func TestBlockDecoderFrames(t *testing.T) {
 	orig := seedTraceV2()
 	data := encodeV2(t, orig, 32)
@@ -247,19 +247,19 @@ func TestBlockDecoderFrames(t *testing.T) {
 	if got := int(d.Count()); got != len(orig.Events) {
 		t.Fatalf("Count = %d, want %d", got, len(orig.Events))
 	}
+	var block []Event
 	events := 0
 	blocks := 0
 	for {
-		f, ok := d.NextFrame()
-		if !ok {
+		if block, ok = d.AppendBlock(block[:0]); !ok {
 			break
 		}
 		st := d.BlockStats()
 		if st.Index != blocks {
 			t.Fatalf("block index %d, want %d", st.Index, blocks)
 		}
-		if st.Events != f.Len() {
-			t.Fatalf("stats events %d != frame len %d", st.Events, f.Len())
+		if st.Events != len(block) {
+			t.Fatalf("stats events %d != block len %d", st.Events, len(block))
 		}
 		sum := 0
 		for _, c := range st.ColBytes {
@@ -268,8 +268,8 @@ func TestBlockDecoderFrames(t *testing.T) {
 		if sum != st.PayloadBytes {
 			t.Fatalf("column bytes sum %d != payload %d", sum, st.PayloadBytes)
 		}
-		for i := 0; i < f.Len(); i++ {
-			if got, want := f.Event(i), orig.Events[events]; got != want {
+		for _, got := range block {
+			if want := orig.Events[events]; got != want {
 				t.Fatalf("event %d: got %+v, want %+v", events, got, want)
 			}
 			events++
@@ -309,7 +309,7 @@ func TestBlockSourceReset(t *testing.T) {
 }
 
 // TestBlockSourceSteadyStateAllocs: after a warmup pass, replaying the
-// stream through Reset must not allocate — the frame, its columns, the
+// stream through Reset must not allocate — the execution buffer, the
 // payload buffer and the app-name string are all recycled.
 func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
@@ -326,22 +326,16 @@ func TestBlockSourceSteadyStateAllocs(t *testing.T) {
 			if !ok {
 				break
 			}
-			for {
-				if _, ok := src.Next(); !ok {
-					break
-				}
-			}
+			src.ExecEvents()
 		}
 		if err := src.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drain() // warmup: frame and scratch reach their high-water marks
-	avg := testing.AllocsPerRun(50, drain)
-	// The frame transits the package pool between streams; a GC emptying
-	// the pool mid-run can charge the occasional re-allocation, so allow
-	// a small fraction rather than exactly zero.
-	if avg > 0.5 {
+	drain() // warmup: buffers and scratch reach their high-water marks
+	// Every buffer is owned by the source (no pool), so the count is
+	// exactly zero.
+	if avg := testing.AllocsPerRun(50, drain); avg != 0 {
 		t.Fatalf("steady-state decode allocates %.2f allocs per pass, want 0", avg)
 	}
 }
@@ -359,7 +353,7 @@ func TestSniffedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "text": txt.Bytes()} {
-		src, err := NewSniffedSource(bytes.NewReader(data))
+		src, err := NewSniffedSource(bytes.NewReader(data), OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

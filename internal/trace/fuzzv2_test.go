@@ -29,32 +29,24 @@ func encodeColumnarFuzz(t *testing.T, tr *Trace, blockEvents int) []byte {
 	return buf.Bytes()
 }
 
-// collectBatched is Collect over the ExecAppender drain path — the fused
-// decode that writes events straight into the destination buffer. The
-// fuzz harness runs it differentially against the per-event Next path:
-// the two decode implementations must accept and reject exactly the same
-// inputs and produce identical events.
-func collectBatched(data []byte) ([]*Trace, error) {
-	src := NewBlockSource(bytes.NewReader(data))
-	var out []*Trace
-	for {
-		app, exec, ok := src.NextExec()
-		if !ok {
-			break
-		}
-		t := &Trace{App: app, Execution: exec}
-		t.Events = src.AppendExec(t.Events)
-		out = append(out, t)
-	}
-	return out, src.Err()
+// collectParallel is Collect over the parallel pipeline at two workers.
+// The fuzz harness runs it differentially against the sequential
+// BlockSource: the pipeline splits the one block decoder across
+// goroutines, so both must accept and reject exactly the same inputs and
+// produce identical events.
+func collectParallel(data []byte) ([]*Trace, error) {
+	ps := NewParallelSource(bytes.NewReader(data), 2)
+	defer ps.Close()
+	return Collect(ps)
 }
 
 // FuzzBlockCodecRoundTrip fuzzes the v2 columnar codec from three sides:
 //
 //  1. the block decoder must never panic on arbitrary (corrupt) input,
 //     anything it does accept must re-encode and re-decode to the same
-//     executions, and the per-event and batched decode paths must agree
-//     byte for byte — including on whether the input is an error;
+//     executions, and the sequential and parallel (two-worker) sources
+//     must agree event for event — including on whether the input is an
+//     error;
 //  2. a structurally valid trace derived from the input must survive
 //     encode → decode unchanged at an input-derived block size;
 //  3. flipping any single bit of a valid encoding must surface as an
@@ -79,20 +71,20 @@ func FuzzBlockCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// (1) Decoder safety on arbitrary bytes, plus per-event vs batched
-		// path agreement.
+		// (1) Decoder safety on arbitrary bytes, plus sequential vs
+		// parallel agreement.
 		traces, err := Collect(NewBlockSource(bytes.NewReader(data)))
-		batched, berr := collectBatched(data)
-		if (err == nil) != (berr == nil) {
-			t.Fatalf("decode paths disagree on validity: Next err=%v, AppendExec err=%v", err, berr)
+		par, perr := collectParallel(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("sources disagree on validity: BlockSource err=%v, ParallelSource err=%v", err, perr)
 		}
 		if err == nil {
-			if len(traces) != len(batched) {
-				t.Fatalf("decode paths yield %d vs %d executions", len(traces), len(batched))
+			if len(traces) != len(par) {
+				t.Fatalf("sources yield %d vs %d executions", len(traces), len(par))
 			}
 			for i := range traces {
-				if !tracesEqual(traces[i], batched[i]) {
-					t.Fatalf("decode paths disagree on execution %d", i)
+				if !tracesEqual(traces[i], par[i]) {
+					t.Fatalf("sources disagree on execution %d", i)
 				}
 			}
 		}
@@ -143,8 +135,8 @@ func FuzzBlockCodecRoundTrip(f *testing.F) {
 			if _, err := Collect(NewBlockSource(bytes.NewReader(flipped))); err == nil {
 				t.Fatalf("bit flip at byte %d (mask %#02x) decoded without error", pos, bit)
 			}
-			if _, err := collectBatched(flipped); err == nil {
-				t.Fatalf("bit flip at byte %d (mask %#02x) decoded without error (batched path)", pos, bit)
+			if _, err := collectParallel(flipped); err == nil {
+				t.Fatalf("bit flip at byte %d (mask %#02x) decoded without error (parallel source)", pos, bit)
 			}
 		}
 	})

@@ -8,29 +8,6 @@ import (
 // Format sniffing: every tool accepts v1 binary, v2 columnar and text
 // traces interchangeably by looking at the leading magic bytes.
 
-// NewSniffedSource returns a streaming Source over r, selecting the
-// decoder from the leading four bytes: "PCTR" is the v1 binary format,
-// "PCT2" the v2 columnar format, anything else the text format. The
-// reader is rewound to the start before the decoder is built.
-func NewSniffedSource(r io.ReadSeeker) (Source, error) {
-	var magic [4]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	switch {
-	case n == len(magic) && string(magic[:]) == binaryMagic:
-		return NewDecoder(r), nil
-	case n == len(magic) && string(magic[:]) == blockFileMagic:
-		return NewBlockSource(r), nil
-	default:
-		return NewTextDecoder(r), nil
-	}
-}
-
 // OpenOptions tune OpenTraceFileOpts.
 type OpenOptions struct {
 	// Workers > 0 selects the parallel decode pipeline (ParallelSource)
@@ -79,7 +56,7 @@ func OpenTraceFileOpts(path string, opts OpenOptions) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, err := newSourceOpts(f, opts)
+	src, err := NewSniffedSource(f, opts)
 	if err != nil {
 		// The sniff failure is the error worth reporting; nothing was
 		// written, so the close cannot lose data.
@@ -89,11 +66,15 @@ func OpenTraceFileOpts(path string, opts OpenOptions) (*FileSource, error) {
 	return &FileSource{Source: FilterEvents(src, opts.Pred), inner: src, f: f}, nil
 }
 
-// newSourceOpts sniffs r and builds the decoder opts ask for: the
-// parallel pipeline and/or pushdown on v2 streams, the plain sniffed
-// decoder otherwise. The returned source is unfiltered — callers
-// compose FilterEvents for exact predicate semantics.
-func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
+// NewSniffedSource returns a streaming Source over r, selecting the
+// decoder from the leading four bytes: "PCTR" is the v1 binary format,
+// "PCT2" the v2 columnar format, anything else the text format. The
+// reader is rewound to the start before the decoder is built. On v2
+// streams opts selects the parallel pipeline and arms predicate
+// pushdown; other formats ignore opts. The returned source is
+// unfiltered — compose FilterEvents(src, opts.Pred) for exact predicate
+// semantics.
+func NewSniffedSource(r io.ReadSeeker, opts OpenOptions) (Source, error) {
 	var magic [4]byte
 	n, err := io.ReadFull(r, magic[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -102,15 +83,18 @@ func newSourceOpts(r io.ReadSeeker, opts OpenOptions) (Source, error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if n == len(magic) && string(magic[:]) == blockFileMagic {
-		if opts.Workers != 0 {
-			ps := NewParallelSource(r, opts.Workers)
-			ps.SetPredicate(opts.Pred)
-			return ps, nil
-		}
+	switch {
+	case n == len(magic) && string(magic[:]) == binaryMagic:
+		return NewDecoder(r), nil
+	case n == len(magic) && string(magic[:]) == blockFileMagic && opts.Workers != 0:
+		ps := NewParallelSource(r, opts.Workers)
+		ps.SetPredicate(opts.Pred)
+		return ps, nil
+	case n == len(magic) && string(magic[:]) == blockFileMagic:
 		bs := NewBlockSource(r)
 		bs.SetPredicate(opts.Pred)
 		return bs, nil
+	default:
+		return NewTextDecoder(r), nil
 	}
-	return NewSniffedSource(r)
 }

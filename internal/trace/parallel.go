@@ -24,15 +24,15 @@ import (
 //	workers         N goroutines verify each item's CRC and decode its
 //	                columns straight into the item's event buffer
 //	                (verifyBlockCRC + decodeBlockInto — the sequential
-//	                fused path, so both accept and reject the same
-//	                inputs with the same errors, and the single-worker
-//	                pipeline pays no SoA-then-copy assembly pass).
+//	                decoder's own column pass, so both accept and reject
+//	                the same inputs with the same errors).
 //	consumer        the caller's goroutine. Delivery order is pinned by
 //	                a second channel: the producer enqueues every item
 //	                on the order channel in file order, workers race
 //	                only on the work channel, and the consumer takes
-//	                items from the order channel and waits on each
-//	                item's done handshake. Events therefore come out
+//	                items from the order channel, waits on each item's
+//	                done handshake and copies the block's events into the
+//	                source's execution buffer. Events therefore come out
 //	                byte-for-byte in sequential-decoder order at any
 //	                worker count, and the first error surfaced is the
 //	                first error in file order.
@@ -127,8 +127,8 @@ func putParItem(it *parItem) {
 // ParallelSource decodes a v2 columnar stream with a pool of worker
 // goroutines while preserving the sequential decoder's exact event
 // order and error behavior — the drop-in replacement for BlockSource
-// when decode throughput matters. It implements Source and
-// ExecAppender.
+// when decode throughput matters. Like BlockSource it lends each
+// execution from one buffer it owns and reuses.
 //
 // The pipeline starts lazily at the first NextExec and is torn down by
 // Reset, Close, or a decode error; a source that ended cleanly costs
@@ -145,13 +145,11 @@ type ParallelSource struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	pending *parItem // lookahead: an execution boundary Next ran into
-	cur     *parItem // block item whose events are being served
-	pos     int      // next event within cur.events
+	pending *parItem // lookahead: an execution boundary ExecEvents ran into
+	buf     []Event  // the current execution's events, lent by ExecEvents
 	inExec  bool
 	app     string
 	exec    int
-	count   uint64
 	err     error
 	ended   bool
 	closed  bool
@@ -177,10 +175,6 @@ func (s *ParallelSource) SetPredicate(p Predicate) { s.pred = p }
 
 // Workers returns the pipeline's worker count.
 func (s *ParallelSource) Workers() int { return s.workers }
-
-// Count returns the number of events the current execution's header
-// declared.
-func (s *ParallelSource) Count() uint64 { return s.count }
 
 // start spins up the pipeline.
 func (s *ParallelSource) start() {
@@ -296,8 +290,8 @@ func (s *ParallelSource) runWorker() {
 	}
 }
 
-// decodeItem runs the sequential decoder's CRC and fused column passes
-// over one snapshotted block, straight into the item's event buffer.
+// decodeItem runs the sequential decoder's CRC and column passes over
+// one snapshotted block, straight into the item's event buffer.
 func decodeItem(dec *BlockDecoder, it *parItem) {
 	dec.err = nil
 	dec.inExec = true
@@ -331,20 +325,6 @@ func (s *ParallelSource) nextItem() *parItem {
 	return nil
 }
 
-// releaseCur returns the served block's item to the pool.
-func (s *ParallelSource) releaseCur() {
-	if s.cur != nil {
-		s.releaseItem(s.cur)
-		s.cur, s.pos = nil, 0
-	}
-}
-
-// releaseItem returns an item (with its buffers) to the pool. For block
-// items the done handshake must already have been received.
-func (s *ParallelSource) releaseItem(it *parItem) {
-	putParItem(it)
-}
-
 // fail records the stream's first error and tears the pipeline down.
 func (s *ParallelSource) fail(err error) {
 	s.err = err
@@ -362,7 +342,6 @@ func (s *ParallelSource) NextExec() (string, int, bool) {
 	if !s.started {
 		s.start()
 	}
-	s.releaseCur()
 	for {
 		it := s.nextItem()
 		if it == nil {
@@ -373,14 +352,14 @@ func (s *ParallelSource) NextExec() (string, int, bool) {
 		}
 		switch it.kind {
 		case parExec:
-			s.app, s.exec, s.count = it.app, it.exec, it.count
+			s.app, s.exec = it.app, it.exec
 			s.inExec = it.count > 0
 			putParItem(it)
 			return s.app, s.exec, true
 		case parBlock:
 			<-it.done
 			err := it.err
-			s.releaseItem(it)
+			putParItem(it)
 			if err != nil {
 				s.fail(err)
 				return "", 0, false
@@ -394,76 +373,54 @@ func (s *ParallelSource) NextExec() (string, int, bool) {
 	}
 }
 
-// Next implements Source.
-func (s *ParallelSource) Next() (Event, bool) {
+// ExecEvents implements Source: the remaining blocks of the current
+// execution are copied, in file order, into the source's buffer.
+func (s *ParallelSource) ExecEvents() []Event {
+	s.buf = s.buf[:0]
 	for {
-		if s.cur != nil {
-			if s.pos < len(s.cur.events) {
-				e := s.cur.events[s.pos]
-				s.pos++
-				return e, true
-			}
-			s.releaseCur()
+		it := s.nextBlock()
+		if it == nil {
+			return s.buf
 		}
-		if !s.inExec || s.err != nil {
-			return Event{}, false
-		}
-		if !s.advanceBlock() {
-			return Event{}, false
-		}
+		s.buf = append(s.buf, it.events...)
+		putParItem(it)
 	}
 }
 
-// AppendExec implements ExecAppender: remaining blocks of the current
-// execution are appended to buf in order — each block one flat copy of
-// its already-assembled events.
-func (s *ParallelSource) AppendExec(buf []Event) []Event {
-	for {
-		if s.cur != nil {
-			buf = append(buf, s.cur.events[s.pos:]...)
-			s.releaseCur()
-		}
-		if !s.inExec || s.err != nil {
-			return buf
-		}
-		if !s.advanceBlock() {
-			return buf
-		}
+// nextBlock returns the next decoded block of the current execution; the
+// caller releases it. nil means the execution (or stream) is exhausted
+// or the pipeline failed.
+func (s *ParallelSource) nextBlock() *parItem {
+	if !s.inExec || s.err != nil {
+		return nil
 	}
-}
-
-// advanceBlock pulls the next decoded block of the current execution
-// into s.cur. false means the execution (or stream) is exhausted or the
-// pipeline failed.
-func (s *ParallelSource) advanceBlock() bool {
 	it := s.nextItem()
 	if it == nil {
 		s.inExec = false
 		s.ended = true
 		s.wg.Wait()
-		return false
+		return nil
 	}
 	switch it.kind {
 	case parExec:
 		// The next execution's boundary: park it for NextExec.
 		s.pending = it
 		s.inExec = false
-		return false
+		return nil
 	case parBlock:
 		<-it.done
 		if it.err != nil {
 			err := it.err
-			s.releaseItem(it)
+			putParItem(it)
 			s.fail(err)
-			return false
+			return nil
 		}
-		s.cur, s.pos = it, 0
-		return true
+		return it
 	default: // parFail
 		err := it.err
 		putParItem(it)
 		s.fail(err)
-		return false
+		return nil
 	}
 }
 
@@ -478,15 +435,14 @@ func (s *ParallelSource) teardown() {
 	}
 	close(s.stop)
 	if s.pending != nil {
-		s.releaseItem(s.pending)
+		putParItem(s.pending)
 		s.pending = nil
 	}
-	s.releaseCur()
 	for it := range s.order {
 		if it.kind == parBlock {
 			<-it.done
 		}
-		s.releaseItem(it)
+		putParItem(it)
 	}
 	s.wg.Wait()
 	s.started = false
@@ -503,8 +459,8 @@ func (s *ParallelSource) Reset() error {
 	s.err = nil
 	s.ended = false
 	s.inExec = false
-	s.pending, s.cur, s.pos = nil, nil, 0
-	s.app, s.exec, s.count = "", 0, 0
+	s.pending = nil
+	s.app, s.exec = "", 0
 	_, err := s.r.Seek(0, io.SeekStart)
 	return err
 }
@@ -515,6 +471,7 @@ func (s *ParallelSource) Close() error {
 	if !s.closed {
 		s.teardown()
 		s.closed = true
+		s.inExec = false
 	}
 	return nil
 }

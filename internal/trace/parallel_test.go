@@ -52,11 +52,7 @@ func drainAll(src Source) (string, error) {
 			break
 		}
 		fmt.Fprintf(&sb, "exec %s/%d\n", app, exec)
-		for {
-			e, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, e := range src.ExecEvents() {
 			fmt.Fprintf(&sb, "%+v\n", e)
 		}
 	}
@@ -99,25 +95,6 @@ func TestParallelDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelAppendExec exercises the batched ExecAppender path against
-// the event-at-a-time path.
-func TestParallelAppendExec(t *testing.T) {
-	data := encodeIndexed(t, 16, seedTraceV2())
-	want, err := Collect(NewBlockSource(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := NewParallelSource(bytes.NewReader(data), 4)
-	defer ps.Close()
-	got, err := Collect(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || !tracesEqual(want[0], got[0]) {
-		t.Fatal("AppendExec stream mismatch")
-	}
-}
-
 // TestParallelReset replays the same stream twice through one source.
 func TestParallelReset(t *testing.T) {
 	data := encodeIndexed(t, 16, seedTraceV2())
@@ -139,22 +116,28 @@ func TestParallelReset(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyClose tears the pipeline down mid-stream; the test
-// passes if nothing deadlocks or races.
+// TestParallelEarlyClose tears the pipeline down mid-stream — with the
+// current execution's blocks still in flight, and after it was lent —
+// and uses the source after Close; the test passes if nothing deadlocks
+// or races.
 func TestParallelEarlyClose(t *testing.T) {
-	data := encodeIndexed(t, 1, seedTraceV2())
-	for _, steps := range []int{0, 1, 3} {
+	data := encodeIndexed(t, 1, seedTraceV2(), seedTraceV2())
+	for _, lend := range []bool{false, true} {
 		ps := NewParallelSource(bytes.NewReader(data), 4)
 		if _, _, ok := ps.NextExec(); !ok {
 			t.Fatal("NextExec failed")
 		}
-		for i := 0; i < steps; i++ {
-			if _, ok := ps.Next(); !ok {
-				t.Fatalf("Next %d failed", i)
-			}
+		if lend && len(ps.ExecEvents()) == 0 {
+			t.Fatal("ExecEvents lent nothing")
 		}
 		if err := ps.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if got := ps.ExecEvents(); len(got) != 0 {
+			t.Fatalf("ExecEvents after Close lent %d events", len(got))
+		}
+		if _, _, ok := ps.NextExec(); ok {
+			t.Fatal("NextExec after Close succeeded")
 		}
 	}
 }

@@ -106,62 +106,27 @@ func FilterEvents(src Source, p Predicate) Source {
 
 // filterSource is FilterEvents' implementation. It forwards the
 // execution structure unchanged (an execution with no matching events
-// is delivered empty, preserving execution indices) and filters the
-// event stream.
+// is delivered empty, preserving execution indices) and copies the
+// matching events of each lent execution into its own buffer — the
+// inner slice is read-only.
 type filterSource struct {
 	src Source
 	p   Predicate
+	buf []Event
 }
 
 // NextExec implements Source.
 func (f *filterSource) NextExec() (string, int, bool) { return f.src.NextExec() }
 
-// Next implements Source.
-func (f *filterSource) Next() (Event, bool) {
-	for {
-		e, ok := f.src.Next()
-		if !ok {
-			return Event{}, false
-		}
+// ExecEvents implements Source.
+func (f *filterSource) ExecEvents() []Event {
+	f.buf = f.buf[:0]
+	for _, e := range f.src.ExecEvents() {
 		if f.p.MatchEvent(e) {
-			return e, true
+			f.buf = append(f.buf, e)
 		}
 	}
-}
-
-// AppendExec implements ExecAppender: the inner source's batch path
-// fills the caller's buffer and the predicate compacts it in place.
-// ExecSlicer-lent slices are borrowed, never mutated — matching events
-// are copied out.
-func (f *filterSource) AppendExec(buf []Event) []Event {
-	if es, ok := f.src.(ExecSlicer); ok {
-		for _, e := range es.ExecEvents() {
-			if f.p.MatchEvent(e) {
-				buf = append(buf, e)
-			}
-		}
-		return buf
-	}
-	if ea, ok := f.src.(ExecAppender); ok {
-		base := len(buf)
-		buf = ea.AppendExec(buf)
-		kept := buf[:base]
-		for _, e := range buf[base:] {
-			if f.p.MatchEvent(e) {
-				kept = append(kept, e)
-			}
-		}
-		return kept
-	}
-	for {
-		e, ok := f.src.Next()
-		if !ok {
-			return buf
-		}
-		if f.p.MatchEvent(e) {
-			buf = append(buf, e)
-		}
-	}
+	return f.buf
 }
 
 // Err implements Source.

@@ -61,85 +61,15 @@ func TestSliceSourceExecEvents(t *testing.T) {
 	if _, _, ok := src.NextExec(); !ok {
 		t.Fatal("NextExec failed")
 	}
-	// Consume one event, then take the rest as a slice.
-	if _, ok := src.Next(); !ok {
-		t.Fatal("Next failed")
+	events := src.ExecEvents()
+	if len(events) != 4 {
+		t.Fatalf("ExecEvents returned %d events, want 4", len(events))
 	}
-	rest := src.ExecEvents()
-	if len(rest) != 3 {
-		t.Fatalf("ExecEvents returned %d events, want 3", len(rest))
-	}
-	if &rest[0] != &tr.Events[1] {
+	if &events[0] != &tr.Events[0] {
 		t.Error("ExecEvents should share the trace's backing array")
 	}
-	if _, ok := src.Next(); ok {
-		t.Error("Next should report drained after ExecEvents")
-	}
-}
-
-func TestMergeSourcesMatchesSliceMerge(t *testing.T) {
-	a := &Trace{App: "a", Execution: 0, Events: []Event{
-		{Time: 0, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 1, Size: 1},
-		{Time: 5, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 2, Size: 1},
-		{Time: 5, Pid: 1, Kind: KindIO, Access: AccessRead, PC: 3, Size: 1},
-	}}
-	b := &Trace{App: "b", Execution: 0, Events: []Event{
-		{Time: 3, Pid: 2, Kind: KindIO, Access: AccessRead, PC: 4, Size: 1},
-		{Time: 5, Pid: 2, Kind: KindIO, Access: AccessRead, PC: 5, Size: 1},
-	}}
-	want := Merge(a.Events, b.Events)
-	src := MergeSources(NewSliceSource(a), NewSliceSource(b))
-	app, _, ok := src.NextExec()
-	if !ok || app != "a" {
-		t.Fatalf("NextExec = %q, %v; want a, true", app, ok)
-	}
-	var got []Event
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, e)
-	}
-	if err := src.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merged stream differs from slice Merge:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestMergeSourcesMismatchedExecutions(t *testing.T) {
-	src := MergeSources(
-		NewSliceSource(mkTrace("a", 0, 1), mkTrace("a", 1, 1)),
-		NewSliceSource(mkTrace("b", 0, 1)),
-	)
-	n := 0
-	for {
-		_, _, ok := src.NextExec()
-		if !ok {
-			break
-		}
-		n++
-		for {
-			if _, ok := src.Next(); !ok {
-				break
-			}
-		}
-	}
-	if src.Err() == nil {
-		t.Error("mismatched execution counts should surface via Err")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	src := Limit(NewSliceSource(mkTrace("a", 0, 5), mkTrace("a", 1, 1)), 2)
-	got := collectSource(t, src)
-	if len(got) != 2 {
-		t.Fatalf("got %d executions, want 2", len(got))
-	}
-	if len(got[0].Events) != 2 || len(got[1].Events) != 1 {
-		t.Errorf("event counts = %d, %d; want 2, 1", len(got[0].Events), len(got[1].Events))
+	if again := src.ExecEvents(); len(again) != 0 {
+		t.Errorf("second ExecEvents returned %d events, want none", len(again))
 	}
 }
 
@@ -161,17 +91,6 @@ func TestLimitExecs(t *testing.T) {
 	}
 	if again := collectSource(t, src); len(again) != 2 {
 		t.Fatalf("after reset: %d executions, want 2", len(again))
-	}
-	// The batch path delivers the same events as the pull path.
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := src.NextExec(); !ok {
-		t.Fatal("NextExec failed after reset")
-	}
-	batch := src.(ExecAppender).AppendExec(nil)
-	if !reflect.DeepEqual(batch, traces[0].Events) {
-		t.Errorf("AppendExec differs from the source events")
 	}
 	// Zero and negative caps yield an empty workload.
 	for _, n := range []int{0, -1} {
@@ -292,13 +211,7 @@ func TestDecoderTruncatedStream(t *testing.T) {
 	if _, _, ok := d.NextExec(); !ok {
 		t.Fatal("NextExec should succeed on an intact header")
 	}
-	n := 0
-	for {
-		if _, ok := d.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := len(d.ExecEvents())
 	if d.Err() == nil {
 		t.Fatal("truncated stream must surface an error")
 	}
@@ -331,24 +244,12 @@ func TestDecoderSkipsUndrainedExecution(t *testing.T) {
 	if _, _, ok := d.NextExec(); !ok {
 		t.Fatal("first NextExec failed")
 	}
-	d.Next() // consume one of five, then skip ahead
-	app, exec, ok := d.NextExec()
+	app, exec, ok := d.NextExec() // skip all five events of the first
 	if !ok || app != "b" || exec != 1 {
 		t.Fatalf("skip-ahead NextExec = %s/%d/%v, want b/1/true", app, exec, ok)
 	}
-	if got := collectEvents(d); len(got) != 2 {
+	if got := d.ExecEvents(); len(got) != 2 {
 		t.Errorf("second execution yielded %d events, want 2", len(got))
-	}
-}
-
-func collectEvents(src Source) []Event {
-	var out []Event
-	for {
-		e, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
 	}
 }
 
@@ -447,11 +348,7 @@ func TestTextDecoderBadLine(t *testing.T) {
 		if !ok {
 			break
 		}
-		for {
-			if _, ok := d.Next(); !ok {
-				break
-			}
-		}
+		d.ExecEvents()
 	}
 	if d.Err() == nil {
 		t.Error("malformed event line should surface via Err")

@@ -83,8 +83,8 @@ func TestStreamExecEvents(t *testing.T) {
 	if !reflect.DeepEqual(events, want) {
 		t.Error("ExecEvents differs from Trace")
 	}
-	if _, ok := s.Next(); ok {
-		t.Error("Next should report drained after ExecEvents")
+	if again := s.ExecEvents(); len(again) != 0 {
+		t.Errorf("second ExecEvents returned %d events, want none", len(again))
 	}
 }
 
